@@ -62,6 +62,49 @@ class LinearSvmModel:
         return self.classes[np.argmax(self.decision_scores(features), axis=1)]
 
 
+# Masks trained together in one batched SVM fit; bounds its score matrices
+# at (train rows) x (BATCH_MASKS * classes).
+BATCH_MASKS = 64
+
+
+def _train_ovr(
+    features: np.ndarray,
+    labels: np.ndarray,
+    C: float,
+    epochs: int,
+    keep: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Train one one-vs-rest linear SVM per row of `keep` in a single loop.
+
+    `keep` is (B, n_features) of 0/1: model b sees only the columns row b
+    keeps.  Weights start at zero and a dropped column's gradient is
+    zeroed, so its weight stays exactly 0 and model b is the model trained
+    on its kept columns alone.  Returns (classes, weights, biases) with
+    weights (B * n_classes, n_features) and model b's classes at rows
+    b * n_classes onwards.
+    """
+    classes = np.unique(labels)
+    if classes.size < 2:
+        raise DegenerateTrainingError(
+            f"training data has a single class ({classes[0]!r})"
+        )
+    n_rows = features.shape[0]
+    batch = keep.shape[0]
+    targets = np.tile(np.where(labels[:, None] == classes[None, :], 1.0, -1.0), batch)
+    keep = np.repeat(keep, classes.size, axis=0)
+    weights = np.zeros((batch * classes.size, features.shape[1]))
+    biases = np.zeros(batch * classes.size)
+    for t in range(1, epochs + 1):
+        margins = targets * (features @ weights.T + biases)
+        active = np.where(margins < 1.0, targets, 0.0)
+        grad_w = C * weights - keep * (active.T @ features) / n_rows
+        grad_b = -active.sum(axis=0) / n_rows
+        lr = 1.0 / (C * t)
+        weights -= lr * grad_w
+        biases -= lr * grad_b
+    return classes, weights, biases
+
+
 def train_linear_svm(
     features: np.ndarray, labels: np.ndarray, C: float = 1.0, epochs: int = 200
 ) -> LinearSvmModel:
@@ -72,25 +115,11 @@ def train_linear_svm(
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    classes = np.unique(labels)
-    if classes.size < 2:
-        raise DegenerateTrainingError(
-            f"training data has a single class ({classes[0]!r})"
-        )
     if features.ndim != 2 or features.shape[1] < 1:
         raise ValueError("need at least one feature column")
-    n_rows = features.shape[0]
-    targets = np.where(labels[:, None] == classes[None, :], 1.0, -1.0)
-    weights = np.zeros((classes.size, features.shape[1]))
-    biases = np.zeros(classes.size)
-    for t in range(1, epochs + 1):
-        margins = targets * (features @ weights.T + biases)
-        active = np.where(margins < 1.0, targets, 0.0)
-        grad_w = C * weights - (active.T @ features) / n_rows
-        grad_b = -active.sum(axis=0) / n_rows
-        lr = 1.0 / (C * t)
-        weights -= lr * grad_w
-        biases -= lr * grad_b
+    classes, weights, biases = _train_ovr(
+        features, labels, C, epochs, np.ones((1, features.shape[1]))
+    )
     return LinearSvmModel(classes=classes, weights=weights, biases=biases)
 
 
@@ -117,13 +146,17 @@ def _nearest_centroid_accuracy(
     return float(np.mean(predictions == test_y))
 
 
-def evaluate(mask: str, data: SplitDataset, spec: EvaluatorSpec) -> float:
-    """Test accuracy of the configured model trained on the masked columns."""
+def _check_mask(mask: str, data: SplitDataset) -> None:
     validate_mask(mask)
     if len(mask) != data.n_features:
         raise MaskError(
             f"mask width {len(mask)} does not match {data.n_features} features"
         )
+
+
+def evaluate(mask: str, data: SplitDataset, spec: EvaluatorSpec) -> float:
+    """Test accuracy of the configured model trained on the masked columns."""
+    _check_mask(mask, data)
     if spec.kind == "external":
         raise EvaluatorError(
             "external evaluation needs a live process; use make_evaluator()"
@@ -255,14 +288,51 @@ def external_evaluate(mask: str, command: str | list[str] | ExternalEvaluator) -
 
 
 class _LocalEvaluator:
-    """Callable facade binding a split and spec; close() is a no-op."""
+    """Callable facade binding a split and spec; close() is a no-op.
+
+    evaluate_many() scores a list of masks with one batched SVM fit per
+    BATCH_MASKS masks; it returns what calling the evaluator on each mask
+    returns.
+    """
 
     def __init__(self, spec: EvaluatorSpec, data: SplitDataset):
         self.spec = spec
         self.data = data
+        self._train_x = _standardized(data.train_features, data.train_mean, data.train_std)
+        self._test_x = _standardized(data.test_features, data.train_mean, data.train_std)
 
     def __call__(self, mask: str) -> float:
         return evaluate(mask, self.data, self.spec)
+
+    def evaluate_many(self, masks: list[str]) -> list[float]:
+        """Accuracies of `masks`, in order."""
+        if self.spec.kind != "linear-svm":
+            return [self(mask) for mask in masks]
+        for mask in masks:
+            _check_mask(mask, self.data)
+        keep = np.array(
+            [[ch == "1" for ch in mask] for mask in masks], dtype=bool
+        ).reshape(len(masks), self.data.n_features)
+        accuracies = np.full(len(masks), _majority_accuracy(self.data))
+        fitted = np.flatnonzero(keep.any(axis=1))
+        try:
+            for start in range(0, fitted.size, BATCH_MASKS):
+                rows = fitted[start : start + BATCH_MASKS]
+                accuracies[rows] = self._svm_accuracies(keep[rows])
+        except DegenerateTrainingError:
+            pass  # single-class training data: every mask scores the majority rule
+        return accuracies.tolist()
+
+    def _svm_accuracies(self, keep: np.ndarray) -> np.ndarray:
+        classes, weights, biases = _train_ovr(
+            self._train_x, self.data.train_labels, self.spec.C, self.spec.epochs, keep
+        )
+        scores = (self._test_x @ weights.T + biases).reshape(
+            len(self._test_x), len(keep), classes.size
+        )
+        # argmax takes the first maximum, so ties go to the lowest class.
+        predictions = classes[np.argmax(scores, axis=2)]
+        return np.mean(predictions == self.data.test_labels[:, None], axis=0)
 
     def close(self) -> None:
         pass

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import EvaluatorSpec, make_evaluator
+from .classifier import BATCH_MASKS, EvaluatorSpec, make_evaluator
 from .dataset import Dataset, load_csv, stratified_split
 from .errors import OracleLimitError, QfselectError, RecordError
 from .evolution import EvolutionConfig, MutationConfig, evolve
@@ -275,13 +275,19 @@ def cmd_oracle(args) -> int:
     best_accuracy = -1.0
     evaluator = make_evaluator(spec, split)
     try:
-        for index in range(2**n):
-            mask = index_to_mask(index, n)
-            accuracy = evaluator(mask)
-            entries.append({"mask": mask, "accuracy": accuracy})
-            if accuracy > best_accuracy:
-                best_accuracy = accuracy
-                best_mask = mask
+        # Masks are built a chunk at a time, never all 2^n at once.
+        for start in range(0, 2**n, BATCH_MASKS):
+            stop = min(start + BATCH_MASKS, 2**n)
+            masks = [index_to_mask(index, n) for index in range(start, stop)]
+            if hasattr(evaluator, "evaluate_many"):
+                accuracies = evaluator.evaluate_many(masks)
+            else:
+                accuracies = [evaluator(mask) for mask in masks]
+            for mask, accuracy in zip(masks, accuracies):
+                entries.append({"mask": mask, "accuracy": accuracy})
+                if accuracy > best_accuracy:
+                    best_accuracy = accuracy
+                    best_mask = mask
     finally:
         evaluator.close()
 

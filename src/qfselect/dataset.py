@@ -167,7 +167,7 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitDat
     Each class contributes floor(test_fraction * class_count) test rows from
     its seeded shuffle; remaining test slots (up to round(test_fraction *
     rows) total) go one apiece to the largest classes, ties to the lower
-    class index.
+    class index.  A split that would leave either side empty is refused.
     """
     if not 0.0 < test_fraction < 1.0:
         raise DatasetError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -193,6 +193,13 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitDat
         order = sorted(range(data.n_classes), key=lambda c: (-counts[c], c))
         for c in order[:deficit]:
             take[c] += 1
+    n_test = int(take.sum())
+    if n_test in (0, data.n_rows):
+        empty = "test" if n_test == 0 else "train"
+        raise DatasetError(
+            f"test_fraction {test_fraction} leaves the {empty} set of "
+            f"{data.n_rows} rows empty"
+        )
 
     test_parts = [shuffled[c][: take[c]] for c in range(data.n_classes)]
     train_parts = [shuffled[c][take[c] :] for c in range(data.n_classes)]

@@ -190,7 +190,8 @@ def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
     all-zero mask).  Each later generation derives one random substream
     per offspring from (seed, generation), used first for the mutation
     draws and then for the measurement shots, so results do not depend on
-    evaluation order.
+    evaluation order.  All offspring are sampled before any is scored, and
+    their masks go to the ledger as one batch.
     """
     ledger = EvaluationLedger()
     entries: list[GenerationEntry] = []
@@ -204,15 +205,19 @@ def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
 
     for generation in range(1, config.generations + 1):
         streams = np.random.SeedSequence((config.seed, generation)).spawn(config.lambda_)
-        children: list[Individual] = []
+        sampled: list[tuple[Circuit, SampledDistribution]] = []
         for i in range(config.lambda_):
             rng = np.random.default_rng(streams[i])
             parent = parents[i % len(parents)]
             circuit = mutate(parent.circuit, rng, config.mutation)
-            dist = sample(simulate(circuit), config.shots, rng)
-            children.append(
-                Individual(circuit, fitness(dist, evaluator, ledger), dist, generation)
-            )
+            sampled.append((circuit, sample(simulate(circuit), config.shots, rng)))
+        # One evaluator call for the whole generation's cache misses, in the
+        # order a child-by-child pass would have met them.
+        ledger.score((mask for _, dist in sampled for mask in dist.counts), evaluator)
+        children = [
+            Individual(circuit, fitness(dist, evaluator, ledger), dist, generation)
+            for circuit, dist in sampled
+        ]
         parents = select(parents, children, config.mu)
         ledger.close_generation()
         entries.append(_generation_entry(generation, parents, ledger))

@@ -8,8 +8,7 @@ support sizes of all sampled distributions (the evaluation cost curve).
 
 from __future__ import annotations
 
-import threading
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -19,29 +18,15 @@ from .simulator import SampledDistribution, quasi_probabilities
 Evaluator = Callable[[str], float]
 
 
-class _Cell:
-    """In-flight computation slot; waiters block on the event."""
-
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.value: float | None = None
-        self.error: BaseException | None = None
-
-
 class EvaluationLedger:
     """Mask-accuracy cache with per-generation counters.
 
-    Get-or-compute is atomic per mask: even with concurrent fitness calls
-    the evaluator runs exactly once for a given mask; latecomers wait for
-    the winner's result.  Counters accumulate until close_generation().
+    A mask enters the cache the first time it scores and is never
+    evaluated again.  Counters accumulate until close_generation().
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._cache: dict[str, float] = {}
-        self._inflight: dict[str, _Cell] = {}
         self._open_new = 0
         self._open_support = 0
         self.per_generation_new: list[int] = []
@@ -57,65 +42,56 @@ class EvaluationLedger:
     def size(self) -> int:
         return len(self._cache)
 
-    def accuracy_for(self, mask: str, evaluator: Evaluator) -> float:
-        """Cached accuracy of `mask`, computing it at most once ever."""
-        with self._lock:
-            if mask in self._cache:
-                return self._cache[mask]
-            cell = self._inflight.get(mask)
-            if cell is None:
-                cell = _Cell()
-                self._inflight[mask] = cell
-                owner = True
-            else:
-                owner = False
-        if not owner:
-            cell.event.wait()
-            if cell.error is not None:
-                raise cell.error
-            return cell.value
+    def score(self, masks: Iterable[str], evaluator: Evaluator) -> list[float]:
+        """Accuracies of `masks`, evaluating each uncached one once.
 
-        try:
-            value = float(evaluator(mask))
+        The misses are evaluated in first-seen order: by one
+        ``evaluator.evaluate_many(misses)`` call when the evaluator has that
+        method, else by one call per miss.  Results enter the cache in that
+        order, so a tie for the best accuracy goes to the first-seen mask.
+        A mask whose evaluation fails or leaves [0, 1] raises FitnessError
+        and is not cached; when ``evaluate_many`` raises, the misses are
+        scored again one call at a time so that the error names its mask.
+        """
+        masks = list(masks)
+        misses = [mask for mask in dict.fromkeys(masks) if mask not in self._cache]
+        values = None
+        if misses and hasattr(evaluator, "evaluate_many"):
+            try:
+                values = list(evaluator.evaluate_many(misses))
+            except Exception:
+                pass  # scored one call per mask below
+        for i, mask in enumerate(misses):
+            try:
+                value = float(evaluator(mask) if values is None else values[i])
+            except FitnessError:
+                raise
+            except Exception as err:
+                raise FitnessError(f"evaluator failed: {err}", mask=mask) from err
             if not 0.0 <= value <= 1.0:
                 raise FitnessError(
                     f"evaluator returned {value!r}, outside [0, 1]", mask=mask
                 )
-        except FitnessError as err:
-            self._fail(mask, cell, err)
-            raise
-        except Exception as err:
-            wrapped = FitnessError(f"evaluator failed: {err}", mask=mask)
-            self._fail(mask, cell, wrapped)
-            raise wrapped from err
-        with self._lock:
             self._cache[mask] = value
             self._open_new += 1
             if value > self.best_accuracy:
                 self.best_accuracy = value
                 self.best_mask = mask
-            del self._inflight[mask]
-        cell.value = value
-        cell.event.set()
-        return value
+        return [self._cache[mask] for mask in masks]
 
-    def _fail(self, mask: str, cell: _Cell, error: BaseException) -> None:
-        with self._lock:
-            del self._inflight[mask]
-        cell.error = error
-        cell.event.set()
+    def accuracy_for(self, mask: str, evaluator: Evaluator) -> float:
+        """Cached accuracy of `mask`, computing it at most once ever."""
+        return self.score((mask,), evaluator)[0]
 
     def note_support(self, size: int) -> None:
-        with self._lock:
-            self._open_support += size
+        self._open_support += size
 
     def close_generation(self) -> None:
         """Snapshot and reset the per-generation counters."""
-        with self._lock:
-            self.per_generation_new.append(self._open_new)
-            self.per_generation_support.append(self._open_support)
-            self._open_new = 0
-            self._open_support = 0
+        self.per_generation_new.append(self._open_new)
+        self.per_generation_support.append(self._open_support)
+        self._open_new = 0
+        self._open_support = 0
 
     @property
     def total_new_evaluations(self) -> int:
@@ -128,8 +104,8 @@ def fitness(
     """Shot-frequency-weighted accuracy of the masks in `dist`."""
     probs = quasi_probabilities(dist)
     total = 0.0
-    for mask, p in probs.items():
-        total += p * ledger.accuracy_for(mask, evaluator)
+    for p, accuracy in zip(probs.values(), ledger.score(probs, evaluator)):
+        total += p * accuracy
     ledger.note_support(len(probs))
     return total
 

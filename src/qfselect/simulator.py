@@ -71,6 +71,8 @@ class Gate:
             raise InvalidGateError(f"duplicate qubit operands: {self.qubits}")
         if any(q < 0 for q in self.qubits):
             raise InvalidGateError(f"negative qubit index: {self.qubits}")
+        if not math.isfinite(self.angle):
+            raise InvalidGateError(f"gate angle must be finite, got {self.angle}")
 
     def matrix(self) -> np.ndarray:
         """The 2x2 or 4x4 unitary exp(-i*angle*P/2)."""

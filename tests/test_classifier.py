@@ -2,10 +2,13 @@
 
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qfselect import classifier
 from qfselect.classifier import (
     EvaluatorSpec,
     ExternalEvaluator,
@@ -15,7 +18,7 @@ from qfselect.classifier import (
     make_evaluator,
     train_linear_svm,
 )
-from qfselect.dataset import SplitDataset
+from qfselect.dataset import SplitDataset, load_csv, stratified_split, wine_csv_path
 from qfselect.errors import DegenerateTrainingError, EvaluatorError, MaskError
 
 STUB = str(Path(__file__).parent / "evaluator_stub.py")
@@ -202,6 +205,40 @@ class TestEvaluate:
         spec = EvaluatorSpec(kind="external", external_cmd="true")
         with pytest.raises(EvaluatorError, match="make_evaluator"):
             evaluate("11", split, spec)
+
+
+WINE_SPLIT = stratified_split(load_csv(wine_csv_path(), "class"), 0.2, seed=21)
+
+
+class TestEvaluateMany:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        masks=st.lists(st.text(alphabet="01", min_size=13, max_size=13), max_size=8),
+        chunk=st.sampled_from([1, 3, classifier.BATCH_MASKS]),
+    )
+    def test_matches_per_mask_evaluate_on_wine(self, masks, chunk):
+        masks = masks + ["0" * 13] + masks[:2]  # the all-zero mask and duplicates
+        spec = EvaluatorSpec()
+        ev = make_evaluator(spec, WINE_SPLIT)
+        with mock.patch.object(classifier, "BATCH_MASKS", chunk):
+            got = ev.evaluate_many(masks)
+        assert got == [evaluate(mask, WINE_SPLIT, spec) for mask in masks]
+
+    def test_single_class_training_scores_majority(self):
+        split = make_split(
+            [[0.0, 1.0], [1.0, 0.0], [2.0, 1.0]], [1, 1, 1],
+            [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [1, 0, 1, 0],
+        )
+        ev = make_evaluator(EvaluatorSpec(), split)
+        assert evaluate("11", split, EvaluatorSpec()) == 0.5
+        assert ev.evaluate_many(["11", "10", "00"]) == [0.5, 0.5, 0.5]
+
+    def test_bad_mask_rejected(self):
+        ev = make_evaluator(EvaluatorSpec(), two_blob_split())
+        with pytest.raises(MaskError):
+            ev.evaluate_many(["11", "111"])
+        with pytest.raises(MaskError):
+            ev.evaluate_many(["1x"])
 
 
 class TestExternalEvaluator:

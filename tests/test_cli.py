@@ -90,6 +90,16 @@ class TestRun:
         )
         assert main(argv) == 1
 
+    def test_infinite_angle_step_is_runtime_error(self, toy_csv, tmp_path, capsys):
+        # An infinite sigma turns the first modify mutation into a gate
+        # angle of +-inf, which the gate refuses.
+        argv = run_args(
+            toy_csv, tmp_path / "runs", sigma="inf",
+            p_insert="0.5", p_modify="0.5", p_delete="0", p_swap="0",
+        )
+        assert main(argv) == 1
+        assert "angle must be finite" in capsys.readouterr().err
+
     def test_missing_data_file_is_runtime_error(self, tmp_path):
         argv = [
             "run", "--data", str(tmp_path / "absent.csv"), "--label", "0",

@@ -184,6 +184,12 @@ class TestStratifiedSplit:
             with pytest.raises(DatasetError, match="test_fraction"):
                 stratified_split(data, frac, seed=0)
 
+    def test_empty_side_rejected(self):
+        with pytest.raises(DatasetError, match="train set"):
+            stratified_split(toy_dataset([2, 2]), 0.99, seed=0)
+        with pytest.raises(DatasetError, match="test set"):
+            stratified_split(toy_dataset([2, 2]), 0.01, seed=0)
+
     def test_wine_split_counts(self):
         data = load_csv(wine_csv_path(), "class")
         split = stratified_split(data, 0.2, seed=7)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from qfselect.classifier import EvaluatorSpec, make_evaluator
+from qfselect.dataset import load_csv, stratified_split, wine_csv_path
 from qfselect.evolution import (
     EvolutionConfig,
     Individual,
@@ -14,6 +16,7 @@ from qfselect.evolution import (
     select,
     spawn_offspring,
 )
+from qfselect.records import dumps_canonical
 from qfselect.simulator import Circuit, Gate, GateKind, depth, simulate
 
 
@@ -229,6 +232,16 @@ class TestEvolve:
         a = evolve(config, ones_fraction)
         b = evolve(config, ones_fraction)
         assert a == b
+
+    def test_batched_and_per_mask_scoring_write_identical_records(self):
+        # A plain callable has no evaluate_many, so the ledger scores it one
+        # mask at a time.
+        split = stratified_split(load_csv(wine_csv_path(), "class"), 0.2, seed=21)
+        ev = make_evaluator(EvaluatorSpec(), split)
+        config = EvolutionConfig(n=13, generations=6, shots=64, seed=21)
+        batched = dumps_canonical(evolve(config, ev).to_dict())
+        per_mask = dumps_canonical(evolve(config, lambda mask: ev(mask)).to_dict())
+        assert batched == per_mask
 
     def test_different_seeds_differ(self):
         base = EvolutionConfig(n=4, generations=6, shots=32, seed=21)

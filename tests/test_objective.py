@@ -1,8 +1,5 @@
 """Objective, ledger, and evaluation-count tests."""
 
-import threading
-import time
-
 import numpy as np
 import pytest
 
@@ -133,30 +130,57 @@ class TestLedger:
         assert ledger.accuracy_for("10", flaky) == 0.5
         assert len(attempts) == 2
 
-    def test_concurrent_get_or_compute_runs_once(self):
+    def test_batch_scoring_evaluates_each_miss_once_in_first_seen_order(self):
         ledger = EvaluationLedger()
-        started = threading.Barrier(8)
-        calls = []
+        ledger.accuracy_for("00", lambda m: 0.1)
+        ev = CountingEvaluator({"11": 0.5, "10": 0.75, "01": 0.75})
+        got = ledger.score(["11", "00", "10", "11", "01", "10"], ev)
+        assert got == [0.5, 0.1, 0.75, 0.5, 0.75, 0.75]
+        assert ev.calls == ["11", "10", "01"]
+        assert list(ledger.cache) == ["00", "11", "10", "01"]
+        assert ledger.best_mask == "10"
 
-        def slow(mask):
-            calls.append(mask)
-            time.sleep(0.05)
-            return 0.75
+        def fails_on_01(mask):
+            if mask == "01":
+                raise RuntimeError("bad column")
+            return 0.25
 
-        results = []
+        ledger = EvaluationLedger()
+        with pytest.raises(FitnessError) as exc:
+            ledger.score(["10", "01", "11"], fails_on_01)
+        assert exc.value.mask == "01"
+        assert ledger.cache == {"10": 0.25}
 
-        def worker():
-            started.wait()
-            results.append(ledger.accuracy_for("1010", slow))
+    def test_batch_evaluator_gets_all_misses_in_one_call(self):
+        class Batched(CountingEvaluator):
+            def evaluate_many(self, masks):
+                self.calls.append(list(masks))
+                return [self.table[m] for m in masks]
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert calls == ["1010"]
-        assert results == [0.75] * 8
-        assert ledger.size == 1
+        ledger = EvaluationLedger()
+        ledger.accuracy_for("00", lambda m: 0.1)
+        ev = Batched({"11": 0.5, "10": 0.75, "01": 0.75})
+        assert ledger.score(["11", "00", "10", "11", "01"], ev) == [0.5, 0.1, 0.75, 0.5, 0.75]
+        assert ev.calls == [["11", "10", "01"]]
+        assert ledger.best_mask == "10"
+        assert ledger.score(["01", "11"], ev) == [0.75, 0.5]
+        assert len(ev.calls) == 1
+
+    def test_failed_batch_names_the_failing_mask(self):
+        class Batched(CountingEvaluator):
+            def evaluate_many(self, masks):
+                return [self(m) for m in masks]
+
+        ledger = EvaluationLedger()
+        with pytest.raises(FitnessError) as exc:
+            ledger.score(["10", "01"], Batched({"10": 0.5}))
+        assert exc.value.mask == "01"
+        assert ledger.cache == {"10": 0.5}
+
+        with pytest.raises(FitnessError, match="outside") as exc:
+            ledger.score(["11", "00"], Batched({"11": 0.5, "00": 1.5}))
+        assert exc.value.mask == "00"
+        assert "00" not in ledger.cache
 
 
 class TestEvaluationCounts:

@@ -81,6 +81,9 @@ class TestGateMatrices:
             Gate(GateKind.RXX, (2, 2), 0.1)
         with pytest.raises(InvalidGateError):
             Circuit(2, (Gate(GateKind.RY, (5,), 0.1),))
+        for angle in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidGateError, match="finite"):
+                Gate(GateKind.RX, (0,), angle)
 
 
 class TestApplyGate:

@@ -67,7 +67,6 @@ from .simulator import (
     GateKind,
     SampledDistribution,
     apply_gate,
-    dense_unitary,
     depth,
     quasi_probabilities,
     sample,
@@ -85,7 +84,6 @@ __all__ = [
     "GateKind",
     "SampledDistribution",
     "apply_gate",
-    "dense_unitary",
     "depth",
     "quasi_probabilities",
     "sample",

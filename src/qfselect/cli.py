@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -64,8 +65,8 @@ def _probability(text: str) -> float:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 

@@ -4,8 +4,15 @@ Conventions:
 - A state over n qubits is a complex ndarray of 2**n amplitudes.  Basis
   index j encodes bit i as ``(j >> i) & 1`` (little-endian); bit i is
   feature i, and bitstrings render x_0 leftmost (see masks.py).
-- All gates follow the exp(-i*theta*P/2) convention, P a Pauli word.
-- Gates mutate nothing: ``apply_gate`` returns a fresh array.
+- All gates follow the exp(-i*theta*P/2) convention, P a Pauli word, so
+  every gate is c*I - i*s*P with c = cos(theta/2), s = sin(theta/2).  A Z
+  word phases each amplitude by the parity of its operand bits.  An X or
+  Y word sets each amplitude to c times itself plus -i*s times the
+  amplitude with its operand bits flipped, times the Pauli word's unit
+  entry (1 for X, +-i for Y).  Simulation builds no 2x2 or 4x4 matrix.
+- ``simulate`` updates one state in place, gate by gate, through one
+  scratch buffer of the same size; ``apply_gate`` runs the same kernel on
+  a copy and leaves its input unchanged.
 
 The gate basis is six rotations: RX, RY, RZ on one qubit and RXX, RYY,
 RZZ on two.  All three two-qubit rotations are symmetric under operand
@@ -20,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidGateError, OracleLimitError
+from .errors import InvalidGateError
 from .masks import index_to_mask
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -125,65 +132,78 @@ def zero_state(n: int) -> np.ndarray:
     return state
 
 
+# Views and parity signs for a state reshaped to put each operand bit on
+# an axis of length 2: (-1, 2, lo) for one qubit, (-1, 2, mid, 2, lo) for
+# two.  The flip view reverses those axes; the sign is (-1)**(parity of
+# the operand bits), shaped to broadcast against the reshaped state.
+_FLIP_1Q = (slice(None), slice(None, None, -1))
+_FLIP_2Q = _FLIP_1Q + _FLIP_1Q
+_SIGN_1Q = np.array([1.0, -1.0])[:, None]
+_SIGN_2Q = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None]
+
+
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate, updating amplitude pairs/quadruples in strides."""
-    n = _qubit_count(state)
-    _check_gate(gate, n)
+    """Apply one gate to a copy of ``state``; the input is left unchanged."""
+    _check_gate(gate, _qubit_count(state))
     out = state.astype(complex, copy=True)
-    m = gate.matrix()
-    if gate.kind.n_qubits == 1:
-        _apply_1q(out, m, gate.qubits[0])
-    else:
-        _apply_2q(out, m, gate.qubits[0], gate.qubits[1])
+    _apply_in_place(out, np.empty_like(out), gate)
     return out
 
 
-def _apply_1q(state: np.ndarray, m: np.ndarray, q: int) -> None:
-    lo = 1 << q
-    t = state.reshape(-1, 2, lo)
-    a0 = t[:, 0, :].copy()
-    a1 = t[:, 1, :].copy()
-    t[:, 0, :] = m[0, 0] * a0 + m[0, 1] * a1
-    t[:, 1, :] = m[1, 0] * a0 + m[1, 1] * a1
-
-
-def _apply_2q(state: np.ndarray, m: np.ndarray, qa: int, qb: int) -> None:
-    # m is indexed by k = 2*b_qb + b_qa; reshape splits bits at positions
-    # p < r so axis 1 carries bit r and axis 3 carries bit p.
-    p, r = min(qa, qb), max(qa, qb)
-    lo, mid = 1 << p, 1 << (r - p - 1)
-    t = state.reshape(-1, 2, mid, 2, lo)
-
-    def k(br: int, bp: int) -> int:
-        ba, bb = (bp, br) if qa == p else (br, bp)
-        return 2 * bb + ba
-
-    old = [[t[:, br, :, bp, :].copy() for bp in (0, 1)] for br in (0, 1)]
-    for br in (0, 1):
-        for bp in (0, 1):
-            acc = 0
-            for br2 in (0, 1):
-                for bp2 in (0, 1):
-                    acc = acc + m[k(br, bp), k(br2, bp2)] * old[br2][bp2]
-            t[:, br, :, bp, :] = acc
+def _apply_in_place(state: np.ndarray, buf: np.ndarray, gate: Gate) -> None:
+    """Overwrite ``state`` with ``gate`` applied; ``buf`` is same-size scratch."""
+    half = 0.5 * gate.angle
+    c, s = math.cos(half), math.sin(half)
+    if gate.kind.n_qubits == 1:
+        q = gate.qubits[0]
+        shape, flip, sign = (-1, 2, 1 << q), _FLIP_1Q, _SIGN_1Q
+    else:
+        p, r = sorted(gate.qubits)
+        shape, flip, sign = (-1, 2, 1 << (r - p - 1), 2, 1 << p), _FLIP_2Q, _SIGN_2Q
+    t = state.reshape(shape)
+    if gate.kind in (GateKind.RZ, GateKind.RZZ):
+        t *= c - 1j * s * sign
+        return
+    # -i*s times P's entry at (target, flipped target): 1 for an X word, the
+    # product of -i*(-1)**b over the target's operand bits b for a Y word.
+    if gate.kind in (GateKind.RX, GateKind.RXX):
+        factor = -1j * s
+    elif gate.kind is GateKind.RY:
+        factor = -s * sign
+    else:
+        factor = 1j * s * sign
+    np.multiply(t[flip], factor, out=buf.reshape(shape))
+    state *= c
+    state += buf
 
 
 def simulate(circuit: Circuit) -> np.ndarray:
-    """Statevector of the circuit applied to |0...0>."""
+    """Statevector of the circuit applied to |0...0>, updated in place."""
     state = zero_state(circuit.n)
+    buf = np.empty_like(state)
     for gate in circuit.gates:
-        state = apply_gate(state, gate)
+        _apply_in_place(state, buf, gate)
     return state
 
 
 def sample(state: np.ndarray, shots: int, rng: np.random.Generator) -> SampledDistribution:
-    """Draw ``shots`` i.i.d. measurements; counts keyed by mask bitstring."""
+    """Draw ``shots`` i.i.d. measurements; counts keyed by mask bitstring.
+
+    Inverts the unnormalised CDF of |amplitude|**2 at ``rng.random(shots)``
+    scaled by the total.  That consumes the same uniforms as
+    ``rng.choice(2**n, size=shots, p=probs)`` and, but for a uniform that
+    lands within rounding of a bin edge, draws the same outcomes.
+    """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     n = _qubit_count(state)
-    probs = np.abs(state) ** 2
-    probs = probs / probs.sum()
-    outcomes = rng.choice(len(state), size=shots, p=probs)
+    cdf = np.abs(state)
+    np.square(cdf, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    total = cdf[-1]
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError(f"state norm must be finite and nonzero, got {total}")
+    outcomes = cdf.searchsorted(rng.random(shots) * total, side="right")
     values, counts = np.unique(outcomes, return_counts=True)
     return SampledDistribution(
         shots=shots,
@@ -206,30 +226,6 @@ def depth(circuit: Circuit) -> int:
             layer[q] = slot
         top = max(top, slot)
     return top
-
-
-def dense_unitary(gate: Gate, n: int) -> np.ndarray:
-    """Full 2**n x 2**n matrix of one gate; test oracle only (n <= 6)."""
-    if n > 6:
-        raise OracleLimitError(f"dense oracle capped at 6 qubits, got n={n}")
-    _check_gate(gate, n)
-    m = gate.matrix()
-    if gate.kind.n_qubits == 1:
-        q = gate.qubits[0]
-        return np.kron(np.kron(np.eye(1 << (n - 1 - q)), m), np.eye(1 << q))
-    # Two-qubit case: expand the Kronecker embedding entry by entry so
-    # non-adjacent operand positions need no permutation matrices.
-    qa, qb = gate.qubits
-    dim = 1 << n
-    full = np.zeros((dim, dim), dtype=complex)
-    clear = ~((1 << qa) | (1 << qb))
-    for j in range(dim):
-        k_in = 2 * ((j >> qb) & 1) + ((j >> qa) & 1)
-        base = j & clear
-        for k_out in range(4):
-            i = base | ((k_out & 1) << qa) | (((k_out >> 1) & 1) << qb)
-            full[i, j] = m[k_out, k_in]
-    return full
 
 
 def _qubit_count(state: np.ndarray) -> int:

@@ -1,7 +1,9 @@
-"""Shared test helpers: random circuit generation over the full gate basis."""
+"""Shared test helpers: random circuits over the full gate basis, the dense
+gate oracle, and planted-feature data."""
 
 import numpy as np
 
+from qfselect.errors import OracleLimitError
 from qfselect.simulator import Circuit, Gate, GateKind, SINGLE_QUBIT_KINDS
 
 
@@ -17,6 +19,30 @@ def random_gate(rng: np.random.Generator, n: int) -> Gate:
 
 def random_circuit(rng: np.random.Generator, n: int, n_gates: int) -> Circuit:
     return Circuit(n, tuple(random_gate(rng, n) for _ in range(n_gates)))
+
+
+def dense_unitary(gate: Gate, n: int) -> np.ndarray:
+    """Full 2**n x 2**n matrix of one gate; the simulator's oracle (n <= 6)."""
+    if n > 6:
+        raise OracleLimitError(f"dense oracle capped at 6 qubits, got n={n}")
+    Circuit(n, (gate,))  # refuses operands outside the register
+    m = gate.matrix()
+    if gate.kind.n_qubits == 1:
+        q = gate.qubits[0]
+        return np.kron(np.kron(np.eye(1 << (n - 1 - q)), m), np.eye(1 << q))
+    # Two-qubit case: expand the Kronecker embedding entry by entry so
+    # non-adjacent operand positions need no permutation matrices.
+    qa, qb = gate.qubits
+    dim = 1 << n
+    full = np.zeros((dim, dim), dtype=complex)
+    clear = ~((1 << qa) | (1 << qb))
+    for j in range(dim):
+        k_in = 2 * ((j >> qb) & 1) + ((j >> qa) & 1)
+        base = j & clear
+        for k_out in range(4):
+            i = base | ((k_out & 1) << qa) | (((k_out >> 1) & 1) << qb)
+            full[i, j] = m[k_out, k_in]
+    return full
 
 
 def planted_rows(n, rows, informative, seed):

@@ -15,9 +15,9 @@ from qfselect.cli import main
 from qfselect.dataset import Dataset, load_csv, stratified_split, wine_csv_path
 from qfselect.evolution import EvolutionConfig, evolve
 from qfselect.masks import index_to_mask
-from qfselect.simulator import dense_unitary, simulate, zero_state
+from qfselect.simulator import simulate, zero_state
 
-from helpers import planted_rows, random_circuit
+from helpers import dense_unitary, planted_rows, random_circuit
 
 WINE_SEED = 21  # split seed and first evolution seed of the wine experiment
 PLANTED_SEED = 4  # generator and split seed of the planted-feature dataset

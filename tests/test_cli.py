@@ -90,15 +90,19 @@ class TestRun:
         )
         assert main(argv) == 1
 
-    def test_infinite_angle_step_is_runtime_error(self, toy_csv, tmp_path, capsys):
-        # An infinite sigma turns the first modify mutation into a gate
-        # angle of +-inf, which the gate refuses.
-        argv = run_args(
-            toy_csv, tmp_path / "runs", sigma="inf",
-            p_insert="0.5", p_modify="0.5", p_delete="0", p_swap="0",
-        )
-        assert main(argv) == 1
-        assert "angle must be finite" in capsys.readouterr().err
+    def test_non_finite_sigma_is_usage_error(self, toy_csv, tmp_path, capsys):
+        # An infinite sigma would turn the first modify mutation into a
+        # gate angle of +-inf; the flag parser refuses it before the run.
+        for sigma in ("inf", "nan"):
+            argv = run_args(
+                toy_csv, tmp_path / "runs", sigma=sigma,
+                p_insert="0.5", p_modify="0.5", p_delete="0", p_swap="0",
+            )
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_missing_data_file_is_runtime_error(self, tmp_path):
         argv = [

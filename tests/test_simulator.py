@@ -1,7 +1,9 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfselect.errors import InvalidGateError, MaskError, OracleLimitError
 from qfselect.masks import index_to_mask, mask_columns, mask_to_index
@@ -11,7 +13,6 @@ from qfselect.simulator import (
     GateKind,
     TWO_QUBIT_KINDS,
     apply_gate,
-    dense_unitary,
     depth,
     quasi_probabilities,
     sample,
@@ -19,7 +20,7 @@ from qfselect.simulator import (
     zero_state,
 )
 
-from helpers import random_circuit, random_gate
+from helpers import dense_unitary, random_circuit, random_gate
 
 
 def compose_dense(circuit: Circuit) -> np.ndarray:
@@ -109,6 +110,28 @@ class TestApplyGate:
         with pytest.raises(InvalidGateError):
             apply_gate(zero_state(2), Gate(GateKind.RX, (2,), 0.1))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(list(GateKind)),
+        n=st.integers(min_value=1, max_value=6),
+        angle=st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_oracle_at_every_placement(self, kind, n, angle, seed):
+        # Every operand placement: wires 0 and n-1, adjacent and distant
+        # pairs, both operand orders.
+        n = max(n, kind.n_qubits)
+        rng = np.random.default_rng(seed)
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        if kind.n_qubits == 1:
+            placements = [(q,) for q in range(n)]
+        else:
+            placements = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for qubits in placements:
+            gate = Gate(kind, qubits, angle)
+            expected = dense_unitary(gate, n) @ state
+            assert np.max(np.abs(apply_gate(state, gate) - expected)) <= 1e-10
+
     def test_input_state_unchanged(self):
         state = zero_state(2)
         apply_gate(state, Gate(GateKind.RY, (0,), 1.0))
@@ -177,6 +200,43 @@ class TestSample:
             empirical[mask_to_index(mask)] = count / dist.shots
         tv = 0.5 * np.abs(empirical - probs).sum()
         assert tv <= 0.02
+
+    def test_draws_what_rng_choice_draws(self):
+        # Pins the RNG stream: a sampler change that alters records fails here.
+        for n in range(1, 11):
+            for seed in (0, 1, 2):
+                state = simulate(random_circuit(np.random.default_rng(100 + n), n, 3 * n))
+                shots = 64 * n
+                probs = np.abs(state) ** 2
+                drawn = np.random.default_rng(seed).choice(
+                    1 << n, size=shots, p=probs / probs.sum()
+                )
+                expected = Counter(index_to_mask(int(i), n) for i in drawn)
+                got = sample(state, shots, np.random.default_rng(seed)).counts
+                assert got == dict(expected)
+
+    def test_extreme_uniforms_never_draw_zero_probability_outcomes(self):
+        class FixedUniforms:
+            def random(self, size):
+                return np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])[:size]
+
+        state = np.array([0.0, 0.0, 1.0, 0.0])
+        assert sample(state, 3, FixedUniforms()).counts == {"01": 3}
+
+    def test_unnormalised_state_samples_like_normalised(self):
+        state = simulate(random_circuit(np.random.default_rng(8), 5, 15))
+        a = sample(state, 500, np.random.default_rng(4)).counts
+        b = sample(3.0 * state, 500, np.random.default_rng(4)).counts
+        assert a == b
+
+    @pytest.mark.parametrize(
+        "state",
+        [np.zeros(4), np.array([0.5, np.nan, 0.5, 0.5]), np.array([1.0, np.inf])],
+        ids=["zero", "nan", "inf"],
+    )
+    def test_refuses_zero_or_non_finite_norm(self, state):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            sample(state, 8, np.random.default_rng(0))
 
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -11,14 +11,12 @@ from .classifier import (
     ExternalEvaluator,
     LinearSvmModel,
     evaluate,
-    external_evaluate,
     make_evaluator,
     train_linear_svm,
 )
 from .dataset import (
     Dataset,
     SplitDataset,
-    apply_mask,
     load_csv,
     stratified_split,
     wine_csv_path,
@@ -42,7 +40,6 @@ from .evolution import (
     evolve,
     mutate,
     select,
-    spawn_offspring,
 )
 from .masks import index_to_mask, mask_columns, mask_to_index, validate_mask
 from .objective import (
@@ -97,7 +94,6 @@ __all__ = [
     # datasets
     "Dataset",
     "SplitDataset",
-    "apply_mask",
     "load_csv",
     "stratified_split",
     "wine_csv_path",
@@ -106,7 +102,6 @@ __all__ = [
     "ExternalEvaluator",
     "LinearSvmModel",
     "evaluate",
-    "external_evaluate",
     "make_evaluator",
     "train_linear_svm",
     # objective bookkeeping
@@ -121,7 +116,6 @@ __all__ = [
     "evolve",
     "mutate",
     "select",
-    "spawn_offspring",
     # run records
     "GenerationEntry",
     "OracleRecord",

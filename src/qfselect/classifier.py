@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SplitDataset
-from .errors import DegenerateTrainingError, EvaluatorError, MaskError
+from .errors import DegenerateTrainingError, EvaluatorError
 from .masks import mask_columns, validate_mask
 
 KINDS = ("linear-svm", "nearest-centroid", "external")
@@ -146,17 +146,9 @@ def _nearest_centroid_accuracy(
     return float(np.mean(predictions == test_y))
 
 
-def _check_mask(mask: str, data: SplitDataset) -> None:
-    validate_mask(mask)
-    if len(mask) != data.n_features:
-        raise MaskError(
-            f"mask width {len(mask)} does not match {data.n_features} features"
-        )
-
-
 def evaluate(mask: str, data: SplitDataset, spec: EvaluatorSpec) -> float:
     """Test accuracy of the configured model trained on the masked columns."""
-    _check_mask(mask, data)
+    validate_mask(mask, data.n_features)
     if spec.kind == "external":
         raise EvaluatorError(
             "external evaluation needs a live process; use make_evaluator()"
@@ -208,11 +200,14 @@ class ExternalEvaluator:
             raise EvaluatorError(f"cannot launch evaluator {argv!r}: {err}") from err
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
-        self._send(f"HELLO EQFS 1 {n}")
-        reply = self._receive()
-        if reply != "READY":
+        try:
+            self._send(f"HELLO EQFS 1 {n}")
+            reply = self._receive()
+            if reply != "READY":
+                raise EvaluatorError(f"bad handshake reply: {reply!r}")
+        except BaseException:
             self.close()
-            raise EvaluatorError(f"bad handshake reply: {reply!r}")
+            raise
 
     def _pump(self) -> None:
         for line in self._proc.stdout:
@@ -267,24 +262,20 @@ class ExternalEvaluator:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass  # unflushed bytes for a process that is gone
+        # The reader ends at end of file; close stdout only once it has.
+        self._reader.join(timeout=5)
+        if not self._reader.is_alive():
+            self._proc.stdout.close()
 
     def __enter__(self) -> "ExternalEvaluator":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def external_evaluate(mask: str, command: str | list[str] | ExternalEvaluator) -> float:
-    """Score one mask through the line protocol.
-
-    Pass an ExternalEvaluator to reuse its process; a raw command spawns a
-    process for just this call.
-    """
-    if isinstance(command, ExternalEvaluator):
-        return command(mask)
-    with ExternalEvaluator(command, n=len(mask)) as process:
-        return process(mask)
 
 
 class _LocalEvaluator:
@@ -309,7 +300,7 @@ class _LocalEvaluator:
         if self.spec.kind != "linear-svm":
             return [self(mask) for mask in masks]
         for mask in masks:
-            _check_mask(mask, self.data)
+            validate_mask(mask, self.data.n_features)
         keep = np.array(
             [[ch == "1" for ch in mask] for mask in masks], dtype=bool
         ).reshape(len(masks), self.data.n_features)

@@ -1,8 +1,9 @@
 """Command-line front end: run experiments, brute-force oracles, reports.
 
-Exit codes: 0 on success, 1 for runtime failures (bad data, evaluator
-trouble, corrupt records), 2 for usage errors (argparse handles most of
-those; cross-flag validation raises ValueError which maps to 2).
+Exit codes: 0 on success, 2 for usage errors, 1 for every other failure
+(bad data, evaluator trouble, corrupt records).  Argparse refuses most bad
+flags; a flag combination that the mutation or evaluator config refuses
+is a usage error too, found before any file is read.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import math
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,6 @@ from .dataset import Dataset, load_csv, stratified_split
 from .errors import OracleLimitError, QfselectError, RecordError
 from .evolution import EvolutionConfig, MutationConfig, evolve
 from .masks import index_to_mask
-from .objective import predicted_total_evaluations
 from .records import (
     OracleRecord,
     RunRecord,
@@ -157,16 +158,6 @@ def _dataset_digest(path: str | Path) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _evaluator_config(spec: EvaluatorSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "C": spec.C,
-        "epochs": spec.epochs,
-        "external_cmd": spec.external_cmd,
-        "timeout": spec.timeout,
-    }
-
-
 def _dataset_config(args, data: Dataset, split_seed: int) -> dict:
     return {
         "path": str(args.data),
@@ -180,24 +171,25 @@ def _dataset_config(args, data: Dataset, split_seed: int) -> dict:
     }
 
 
-def _make_spec(args) -> EvaluatorSpec:
-    return EvaluatorSpec(kind=args.evaluator, external_cmd=args.external_cmd)
+def _configs_from_flags(args) -> None:
+    """Build the configs that depend on flags alone, before any file is read."""
+    if hasattr(args, "evaluator"):
+        args.spec = EvaluatorSpec(kind=args.evaluator, external_cmd=args.external_cmd)
+    if hasattr(args, "p_insert"):
+        args.mutation = MutationConfig(
+            p_insert=args.p_insert,
+            p_modify=args.p_modify,
+            p_delete=args.p_delete,
+            p_swap=args.p_swap,
+            sigma_modify=args.sigma,
+        )
 
 
 def cmd_run(args) -> int:
-    mutation = MutationConfig(
-        p_insert=args.p_insert,
-        p_modify=args.p_modify,
-        p_delete=args.p_delete,
-        p_swap=args.p_swap,
-        sigma_modify=args.sigma,
-    )
-    spec = _make_spec(args)
-
     data = load_csv(args.data, args.label)
     split = stratified_split(data, args.test_fraction, seed=args.seed)
     context = {
-        "evaluator": _evaluator_config(spec),
+        "evaluator": dataclasses.asdict(args.spec),
         "dataset": _dataset_config(args, data, split_seed=args.seed),
     }
 
@@ -207,7 +199,7 @@ def cmd_run(args) -> int:
     started = time.perf_counter()
     records: list[RunRecord] = []
     paths: list[Path] = []
-    evaluator = make_evaluator(spec, split)
+    evaluator = make_evaluator(args.spec, split)
     try:
         for i in range(args.repeat):
             config = EvolutionConfig(
@@ -217,7 +209,7 @@ def cmd_run(args) -> int:
                 generations=args.generations,
                 shots=args.shots,
                 seed=args.seed + i,
-                mutation=mutation,
+                mutation=args.mutation,
             )
             record = evolve(config, evaluator)
             record = dataclasses.replace(record, config={**record.config, **context})
@@ -229,8 +221,12 @@ def cmd_run(args) -> int:
         evaluator.close()
     elapsed = time.perf_counter() - started
 
-    aggregate = _aggregate(records, paths)
-    aggregate["wall_clock_seconds"] = elapsed
+    aggregate = {
+        "format_version": 1,
+        "records": [p.name for p in paths],
+        **_summarize(records),
+        "wall_clock_seconds": elapsed,
+    }
     write_json(aggregate, out_dir / "aggregate.json")
 
     best = max(r.generations[-1].best_accuracy for r in records)
@@ -239,20 +235,33 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _aggregate(records: list[RunRecord], paths: list[Path]) -> dict:
-    best_accuracy = np.array(
-        [[e.best_accuracy for e in r.generations] for r in records]
-    )
-    best_fitness = np.array([[e.best_fitness for e in r.generations] for r in records])
-    support = np.array([[e.support for e in r.generations] for r in records])
+# Stands in for the digest of a record without a dataset block (as evolve()
+# writes it), so that such records never mix with CLI-written ones.
+_NO_DATASET = "(no dataset block)"
+
+
+def _summarize(records: list[RunRecord]) -> dict:
+    """Per-generation means over `records` and their mean totals.
+
+    Refuses records of different datasets or generation counts.
+    """
+    digests = {r.config.get("dataset", {}).get("digest", _NO_DATASET) for r in records}
+    if len(digests) > 1:
+        raise RecordError(f"records mix different datasets: {sorted(digests)}")
+    lengths = {len(r.generations) for r in records}
+    if len(lengths) > 1:
+        raise RecordError(f"records disagree on generation count: {sorted(lengths)}")
+
+    def per_generation(name: str) -> np.ndarray:
+        return np.array([[getattr(e, name) for e in r.generations] for r in records])
+
+    best_accuracy = per_generation("best_accuracy")
     return {
-        "format_version": 1,
-        "records": [p.name for p in paths],
-        "dataset_digest": records[0].config["dataset"]["digest"],
+        "dataset_digest": digests.pop(),
         "mean_best_accuracy": best_accuracy.mean(axis=0).tolist(),
         "std_best_accuracy": best_accuracy.std(axis=0).tolist(),
-        "mean_best_fitness": best_fitness.mean(axis=0).tolist(),
-        "mean_support": support.mean(axis=0).tolist(),
+        "mean_best_fitness": per_generation("best_fitness").mean(axis=0).tolist(),
+        "mean_support": per_generation("support").mean(axis=0).tolist(),
         "mean_empirical_auc": float(
             np.mean([r.totals["empirical_auc"] for r in records])
         ),
@@ -261,7 +270,6 @@ def _aggregate(records: list[RunRecord], paths: list[Path]) -> dict:
 
 
 def cmd_oracle(args) -> int:
-    spec = _make_spec(args)
     data = load_csv(args.data, args.label)
     n = data.n_features
     if n > ORACLE_MAX_FEATURES:
@@ -274,7 +282,7 @@ def cmd_oracle(args) -> int:
     entries: list[dict] = []
     best_mask = None
     best_accuracy = -1.0
-    evaluator = make_evaluator(spec, split)
+    evaluator = make_evaluator(args.spec, split)
     try:
         # Masks are built a chunk at a time, never all 2^n at once.
         for start in range(0, 2**n, BATCH_MASKS):
@@ -295,7 +303,7 @@ def cmd_oracle(args) -> int:
     record = OracleRecord(
         config={
             "n": n,
-            "evaluator": _evaluator_config(spec),
+            "evaluator": dataclasses.asdict(args.spec),
             "dataset": _dataset_config(args, data, split_seed=args.seed),
         },
         entries=entries,
@@ -310,32 +318,24 @@ def cmd_oracle(args) -> int:
 
 def cmd_report(args) -> int:
     records = [read_run_record(path) for path in args.records]
-
-    digests = {r.config["dataset"]["digest"] for r in records}
-    if len(digests) > 1:
-        raise RecordError(f"records mix different datasets: {sorted(digests)}")
-    lengths = {len(r.generations) for r in records}
-    if len(lengths) > 1:
-        raise RecordError(f"records disagree on generation count: {sorted(lengths)}")
-
-    best_accuracy = np.array(
-        [[e.best_accuracy for e in r.generations] for r in records]
-    )
-    support = np.array([[e.support for e in r.generations] for r in records])
+    summary = _summarize(records)
     cumulative = np.cumsum(
         [[e.new_evaluations for e in r.generations] for r in records], axis=1
-    )
+    ).mean(axis=0)
 
     print("# per-generation")
     print(
         "generation,mean_best_accuracy,std_best_accuracy,"
         "mean_support,mean_cumulative_new_evaluations"
     )
-    for g in range(best_accuracy.shape[1]):
-        print(
-            f"{g},{float(best_accuracy[:, g].mean())!r},{float(best_accuracy[:, g].std())!r},"
-            f"{float(support[:, g].mean())!r},{float(cumulative[:, g].mean())!r}"
-        )
+    columns = zip(
+        summary["mean_best_accuracy"],
+        summary["std_best_accuracy"],
+        summary["mean_support"],
+        cumulative.tolist(),
+    )
+    for g, (mean, std, support, new) in enumerate(columns):
+        print(f"{g},{mean!r},{std!r},{support!r},{new!r}")
 
     best_index = int(
         np.argmax([r.generations[-1].best_accuracy for r in records])
@@ -347,9 +347,8 @@ def cmd_report(args) -> int:
     for row in chosen.final_distribution:
         print(f"{row['mask']},{row['probability']!r},{row['accuracy']!r}")
 
-    config = chosen.config
-    predicted = predicted_total_evaluations(config["shots"], config["generations"])
-    mean_auc = float(np.mean([r.totals["empirical_auc"] for r in records]))
+    predicted = summary["predicted_evaluations"]
+    mean_auc = summary["mean_empirical_auc"]
     mean_cache = float(np.mean([r.totals["cache_size"] for r in records]))
     print()
     print("# evaluations")
@@ -363,14 +362,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _configs_from_flags(args)
+    except ValueError as err:
+        # A config refused a flag combination that argparse let through.
+        print(f"usage error: {err}", file=sys.stderr)
+        return 2
+    try:
         return args.func(args)
     except QfselectError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ValueError as err:
-        # Config construction rejected a flag combination argparse let through.
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
+    except Exception:
+        # A failure no QfselectError names: keep its traceback for the report.
+        traceback.print_exc()
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""CSV ingestion, stratified splitting, and mask-based column selection.
+"""CSV ingestion and stratified splitting.
 
 Labels may be arbitrary strings; they are mapped to dense class indices in
 first-appearance order so downstream code never sees raw label spellings.
@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, MaskError
-from .masks import mask_columns, validate_mask
+from .errors import DatasetError
 
 
 @dataclass(frozen=True)
@@ -217,16 +216,6 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitDat
         train_mean=mean,
         train_std=std,
     )
-
-
-def apply_mask(rows: np.ndarray, mask: str) -> np.ndarray:
-    """Keep the columns whose mask bit is 1, original order preserved."""
-    validate_mask(mask)
-    if rows.ndim != 2 or rows.shape[1] != len(mask):
-        raise MaskError(
-            f"mask width {len(mask)} does not match {rows.shape[1]} columns"
-        )
-    return rows[:, mask_columns(mask)]
 
 
 def wine_csv_path() -> Path:

@@ -10,7 +10,7 @@ fitness literally monotone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,21 +77,8 @@ class EvolutionConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mu": self.mu,
-            "lambda": self.lambda_,
-            "generations": self.generations,
-            "shots": self.shots,
-            "seed": self.seed,
-            "mutation": {
-                "p_insert": self.mutation.p_insert,
-                "p_modify": self.mutation.p_modify,
-                "p_delete": self.mutation.p_delete,
-                "p_swap": self.mutation.p_swap,
-                "sigma_modify": self.mutation.sigma_modify,
-            },
-        }
+        """Fields in declaration order, `lambda_` written as "lambda"."""
+        return {name.rstrip("_"): value for name, value in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -104,13 +91,8 @@ class Individual:
     birth_generation: int
 
 
-def _mutation_probs(config: MutationConfig | EvolutionConfig) -> MutationConfig:
-    return config.mutation if isinstance(config, EvolutionConfig) else config
-
-
-def mutate(circuit: Circuit, rng: np.random.Generator, config) -> Circuit:
+def mutate(circuit: Circuit, rng: np.random.Generator, mutation: MutationConfig) -> Circuit:
     """Apply exactly one mutation; inapplicable draws fall back to insert."""
-    mutation = _mutation_probs(config)
     kind = MUTATION_KINDS[rng.choice(4, p=mutation.probabilities)]
     gates = list(circuit.gates)
     two_qubit_at = [i for i, g in enumerate(gates) if g.kind.n_qubits == 2]
@@ -142,15 +124,6 @@ def mutate(circuit: Circuit, rng: np.random.Generator, config) -> Circuit:
         old = gates[index]
         gates[index] = Gate(old.kind, (old.qubits[1], old.qubits[0]), old.angle)
     return Circuit(circuit.n, tuple(gates))
-
-
-def spawn_offspring(
-    parent: Individual, count: int, rng: np.random.Generator, config
-) -> list[Circuit]:
-    """`count` one-mutation copies of the parent, one substream each."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return [mutate(parent.circuit, stream, config) for stream in rng.spawn(count)]
 
 
 def select(parents: list[Individual], offspring: list[Individual], mu: int) -> list[Individual]:

@@ -79,10 +79,6 @@ class EvaluationLedger:
                 self.best_mask = mask
         return [self._cache[mask] for mask in masks]
 
-    def accuracy_for(self, mask: str, evaluator: Evaluator) -> float:
-        """Cached accuracy of `mask`, computing it at most once ever."""
-        return self.score((mask,), evaluator)[0]
-
     def note_support(self, size: int) -> None:
         self._open_support += size
 
@@ -92,10 +88,6 @@ class EvaluationLedger:
         self.per_generation_support.append(self._open_support)
         self._open_new = 0
         self._open_support = 0
-
-    @property
-    def total_new_evaluations(self) -> int:
-        return len(self._cache)
 
 
 def fitness(

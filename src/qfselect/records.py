@@ -3,14 +3,15 @@
 Rerunning an experiment with the same configuration must produce an
 identical file, so floats are always rendered with 17 significant digits
 (enough to round-trip float64 exactly) and key order is fixed by the
-record builders, never by the serializer.
+record builders, never by the serializer: a dataclass is written as its
+fields in declaration order, a dict in insertion order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,109 +34,27 @@ class GenerationEntry:
     best_accuracy: float
     parent_depth: int
 
-    def to_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "best_fitness": self.best_fitness,
-            "parent_fitness": list(self.parent_fitness),
-            "support": self.support,
-            "new_evaluations": self.new_evaluations,
-            "best_mask": self.best_mask,
-            "best_accuracy": self.best_accuracy,
-            "parent_depth": self.parent_depth,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "GenerationEntry":
-        try:
-            return cls(
-                generation=raw["generation"],
-                best_fitness=raw["best_fitness"],
-                parent_fitness=list(raw["parent_fitness"]),
-                support=raw["support"],
-                new_evaluations=raw["new_evaluations"],
-                best_mask=raw["best_mask"],
-                best_accuracy=raw["best_accuracy"],
-                parent_depth=raw["parent_depth"],
-            )
-        except KeyError as err:
-            raise RecordError(f"generation entry missing field {err}") from None
-
 
 @dataclass(frozen=True)
 class RunRecord:
     """Everything one evolutionary run produced, ready to serialize."""
 
+    format_version: int = field(default=FORMAT_VERSION, kw_only=True)
     config: dict
     generations: list[GenerationEntry]
     final_distribution: list[dict]  # {"mask", "probability", "accuracy"}
     totals: dict
-    format_version: int = FORMAT_VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "config": self.config,
-            "generations": [entry.to_dict() for entry in self.generations],
-            "final_distribution": [dict(row) for row in self.final_distribution],
-            "totals": dict(self.totals),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunRecord":
-        version = raw.get("format_version")
-        if version != FORMAT_VERSION:
-            raise RecordError(
-                f"unsupported record format version {version!r}, expected {FORMAT_VERSION}"
-            )
-        try:
-            return cls(
-                format_version=version,
-                config=raw["config"],
-                generations=[GenerationEntry.from_dict(e) for e in raw["generations"]],
-                final_distribution=list(raw["final_distribution"]),
-                totals=raw["totals"],
-            )
-        except KeyError as err:
-            raise RecordError(f"run record missing field {err}") from None
 
 
 @dataclass(frozen=True)
 class OracleRecord:
     """Exhaustive mask sweep: every accuracy plus the argmax."""
 
+    format_version: int = field(default=FORMAT_VERSION, kw_only=True)
     config: dict
     entries: list[dict]  # {"mask", "accuracy"}, all 2^n in index order
     best_mask: str
     best_accuracy: float
-    format_version: int = FORMAT_VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "config": self.config,
-            "entries": [dict(row) for row in self.entries],
-            "best_mask": self.best_mask,
-            "best_accuracy": self.best_accuracy,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "OracleRecord":
-        version = raw.get("format_version")
-        if version != FORMAT_VERSION:
-            raise RecordError(
-                f"unsupported record format version {version!r}, expected {FORMAT_VERSION}"
-            )
-        try:
-            return cls(
-                format_version=version,
-                config=raw["config"],
-                entries=list(raw["entries"]),
-                best_mask=raw["best_mask"],
-                best_accuracy=raw["best_accuracy"],
-            )
-        except KeyError as err:
-            raise RecordError(f"oracle record missing field {err}") from None
 
 
 def _format_float(value: float) -> str:
@@ -181,6 +100,8 @@ def _emit(value, out: list[str], indent: int) -> None:
         out.append(json.dumps(value, ensure_ascii=False))
     elif value is None:
         out.append("null")
+    elif is_dataclass(value) and not isinstance(value, type):
+        _emit({f.name: getattr(value, f.name) for f in fields(value)}, out, indent)
     else:
         raise RecordError(f"cannot serialize value of type {type(value).__name__}")
 
@@ -196,7 +117,7 @@ def write_json(value, path: str | Path) -> None:
     Path(path).write_text(dumps_canonical(value), encoding="utf-8")
 
 
-def _load_json(path: str | Path) -> dict:
+def _load_json(path: str | Path):
     path = Path(path)
     if not path.exists():
         raise RecordError(f"no such record file: {path}")
@@ -206,17 +127,45 @@ def _load_json(path: str | Path) -> dict:
         raise RecordError(f"corrupt record {path}: {err}") from None
 
 
+def _from_dict(cls, raw, **nested):
+    """Build dataclass `cls` from a JSON object that holds every field.
+
+    `nested` maps a field name to the function that builds its value from
+    the raw one.  A `format_version` field must equal FORMAT_VERSION.
+    """
+    if not isinstance(raw, dict):
+        raise RecordError(f"{cls.__name__} must be a JSON object, got {type(raw).__name__}")
+    names = [f.name for f in fields(cls)]
+    if "format_version" in names and raw.get("format_version") != FORMAT_VERSION:
+        raise RecordError(
+            f"unsupported record format version {raw.get('format_version')!r}, "
+            f"expected {FORMAT_VERSION}"
+        )
+    missing = [name for name in names if name not in raw]
+    if missing:
+        raise RecordError(f"{cls.__name__} missing field(s) {', '.join(missing)}")
+    values = {name: raw[name] for name in names}
+    values.update((name, build(values[name])) for name, build in nested.items())
+    return cls(**values)
+
+
+def _generation_entries(raw) -> list[GenerationEntry]:
+    if not isinstance(raw, list) or not raw:
+        raise RecordError(f"generations must be a non-empty JSON array, got {raw!r:.40}")
+    return [_from_dict(GenerationEntry, entry) for entry in raw]
+
+
 def write_run_record(record: RunRecord, path: str | Path) -> None:
-    write_json(record.to_dict(), path)
+    write_json(record, path)
 
 
 def read_run_record(path: str | Path) -> RunRecord:
-    return RunRecord.from_dict(_load_json(path))
+    return _from_dict(RunRecord, _load_json(path), generations=_generation_entries)
 
 
 def write_oracle_record(record: OracleRecord, path: str | Path) -> None:
-    write_json(record.to_dict(), path)
+    write_json(record, path)
 
 
 def read_oracle_record(path: str | Path) -> OracleRecord:
-    return OracleRecord.from_dict(_load_json(path))
+    return _from_dict(OracleRecord, _load_json(path))

@@ -14,7 +14,6 @@ from qfselect.classifier import (
     ExternalEvaluator,
     _standardized,
     evaluate,
-    external_evaluate,
     make_evaluator,
     train_linear_svm,
 )
@@ -248,10 +247,6 @@ class TestExternalEvaluator:
             assert proc("000") == 0.0
             assert proc("111") == 1.0
 
-    def test_one_shot_helper(self):
-        value = external_evaluate("1010001100100", stub_cmd("ones-fraction"))
-        assert value == pytest.approx(5 / 13)
-
     def test_err_reply(self):
         with ExternalEvaluator(stub_cmd("err"), n=3) as proc:
             with pytest.raises(EvaluatorError, match="no such column"):
@@ -280,6 +275,25 @@ class TestExternalEvaluator:
     def test_bad_handshake(self):
         with pytest.raises(EvaluatorError, match="handshake"):
             ExternalEvaluator(stub_cmd("bad-handshake"), n=3)
+
+    @pytest.mark.parametrize("mode", ["ones-fraction", "die", "slow", "bad-handshake"])
+    def test_close_releases_pipes(self, mode):
+        opened = []
+        real_popen = classifier.subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            opened.append(real_popen(*args, **kwargs))
+            return opened[-1]
+
+        with mock.patch.object(classifier.subprocess, "Popen", recording_popen):
+            try:
+                with ExternalEvaluator(stub_cmd(mode), n=3, timeout=0.3) as proc:
+                    proc("101")
+            except EvaluatorError:
+                pass
+        (child,) = opened
+        assert child.stdin.closed and child.stdout.closed
+        assert child.returncode is not None
 
     def test_unlaunchable_command(self):
         with pytest.raises(EvaluatorError, match="launch"):

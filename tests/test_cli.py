@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from qfselect import cli
 from qfselect.cli import main
-from qfselect.records import read_oracle_record, read_run_record
+from qfselect.evolution import EvolutionConfig, evolve
+from qfselect.records import read_oracle_record, read_run_record, write_run_record
 
 from helpers import write_planted_csv
 
@@ -116,9 +118,23 @@ class TestRun:
             main(run_args(toy_csv, tmp_path / "runs", shots="0"))
         assert exc.value.code == 2
 
-    def test_bad_mutation_probabilities_are_usage_error(self, toy_csv, tmp_path):
+    def test_bad_mutation_probabilities_are_usage_error(self, toy_csv, tmp_path, capsys):
         argv = run_args(toy_csv, tmp_path / "runs", p_insert="0.9")
         assert main(argv) == 2  # 0.9 + 0.3 + 0.1 + 0.1 != 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+        # The flags are checked before the data file is read.
+        assert main(run_args(tmp_path / "absent.csv", tmp_path / "runs", p_insert="0.9")) == 2
+
+    def test_value_error_during_a_run_is_runtime_error(
+        self, toy_csv, tmp_path, monkeypatch, capsys
+    ):
+        def broken_evolve(config, evaluator):
+            raise ValueError("state has zero norm")
+
+        monkeypatch.setattr(cli, "evolve", broken_evolve)
+        assert main(run_args(toy_csv, tmp_path / "runs")) == 1
+        assert "ValueError: state has zero norm" in capsys.readouterr().err
 
     def test_external_without_command_is_usage_error(self, toy_csv, tmp_path):
         argv = run_args(toy_csv, tmp_path / "runs", evaluator="external")
@@ -220,3 +236,56 @@ class TestReport:
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
         assert main(["report", str(bad)]) == 1
+
+    def test_means_match_the_aggregate(self, toy_csv, tmp_path, capsys):
+        # Nine records: enough for a pairwise column sum to differ from the
+        # aggregate's row-by-row sum in the last bit, were they computed apart.
+        out = tmp_path / "runs"
+        assert main(run_args(toy_csv, out, repeat="9")) == 0
+        aggregate = json.loads((out / "aggregate.json").read_text())
+        capsys.readouterr()
+        assert main(["report"] + [str(out / name) for name in aggregate["records"]]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split(",") for line in lines[2 : 2 + 5]]
+        assert [float(row[1]) for row in rows] == aggregate["mean_best_accuracy"]
+        assert [float(row[2]) for row in rows] == aggregate["std_best_accuracy"]
+        assert [float(row[3]) for row in rows] == aggregate["mean_support"]
+
+    @pytest.fixture()
+    def library_records(self, tmp_path):
+        paths = []
+        for seed in (1, 2):
+            record = evolve(
+                EvolutionConfig(n=3, generations=3, shots=8, seed=seed),
+                lambda mask: mask.count("1") / len(mask),
+            )
+            paths.append(tmp_path / f"lib-{seed}.json")
+            write_run_record(record, paths[-1])
+        return paths
+
+    def test_library_records_are_summarized(self, library_records, capsys):
+        assert main(["report"] + [str(p) for p in library_records]) == 0
+        out = capsys.readouterr().out
+        assert "predicted m*K/2 = 12.0" in out  # m=8, K=3
+        assert len(out.split("# final distribution")[0].splitlines()) == 2 + 4 + 1
+
+    def test_library_and_cli_records_do_not_mix(self, library_records, toy_csv, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert main(run_args(toy_csv, out, repeat="1", generations="3")) == 0
+        code = main(["report", str(library_records[0]), str(out / "record-000.json")])
+        assert code == 1
+        assert "mix different datasets" in capsys.readouterr().err
+
+    def test_top_level_list_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[]", encoding="utf-8")
+        assert main(["report", str(bad)]) == 1
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_generations_not_a_list_rejected(self, library_records, capsys):
+        raw = json.loads(library_records[0].read_text())
+        for bad in (7, {"generation": 0}, []):
+            raw["generations"] = bad
+            library_records[0].write_text(json.dumps(raw), encoding="utf-8")
+            assert main(["report", str(library_records[0])]) == 1
+            assert "generations" in capsys.readouterr().err

@@ -7,7 +7,6 @@ import pytest
 
 from qfselect.dataset import (
     Dataset,
-    apply_mask,
     load_csv,
     stratified_split,
     wine_csv_path,
@@ -197,34 +196,3 @@ class TestStratifiedSplit:
         assert split.test_labels.size == 36
         assert split.train_labels.size == 142
         assert np.bincount(split.test_labels).tolist() == [12, 15, 9]
-
-
-class TestApplyMask:
-    def test_all_ones_identity(self):
-        rows = np.arange(12.0).reshape(4, 3)
-        np.testing.assert_array_equal(apply_mask(rows, "111"), rows)
-
-    def test_pick_columns(self):
-        rows = np.arange(12.0).reshape(4, 3)
-        np.testing.assert_array_equal(apply_mask(rows, "101"), rows[:, [0, 2]])
-
-    def test_all_zero_keeps_rows(self):
-        rows = np.arange(12.0).reshape(4, 3)
-        out = apply_mask(rows, "000")
-        assert out.shape == (4, 0)
-
-    def test_width_mismatch(self):
-        rows = np.zeros((2, 3))
-        with pytest.raises(MaskError, match="width"):
-            apply_mask(rows, "10")
-
-    def test_random_masks_map_set_bits(self):
-        rng = np.random.default_rng(17)
-        rows = rng.normal(size=(5, 9))
-        for _ in range(50):
-            mask = "".join(rng.choice(["0", "1"], size=9))
-            out = apply_mask(rows, mask)
-            set_bits = [i for i, b in enumerate(mask) if b == "1"]
-            assert out.shape == (5, len(set_bits))
-            for j, col in enumerate(set_bits):
-                np.testing.assert_array_equal(out[:, j], rows[:, col])

@@ -14,7 +14,6 @@ from qfselect.evolution import (
     evolve,
     mutate,
     select,
-    spawn_offspring,
 )
 from qfselect.records import dumps_canonical
 from qfselect.simulator import Circuit, Gate, GateKind, depth, simulate
@@ -135,39 +134,17 @@ class TestMutate:
         ):
             assert abs(counts[kind] / trials - expected) <= 0.02
 
-    def test_accepts_evolution_config(self):
-        config = EvolutionConfig(n=3, seed=1)
-        child = mutate(Circuit(3, ()), np.random.default_rng(8), config)
-        assert len(child.gates) == 1
+    def test_depth_grows_by_at_most_one(self):
+        rng = np.random.default_rng(10)
+        parent = mixed_circuit()
+        for _ in range(20):
+            assert depth(mutate(parent, rng, MutationConfig())) <= depth(parent) + 1
 
 
 def make_individual(fitness, birth=0, n=2):
     circuit = Circuit(n, ())
     dist = None  # selection never looks at the distribution
     return Individual(circuit=circuit, fitness=fitness, distribution=dist, birth_generation=birth)
-
-
-class TestSpawnOffspring:
-    def test_count_and_single_step(self):
-        parent = Individual(mixed_circuit(), 0.5, None, 2)
-        rng = np.random.default_rng(9)
-        children = spawn_offspring(parent, 6, rng, MutationConfig())
-        assert len(children) == 6
-        for child in children:
-            assert abs(len(child.gates) - len(parent.circuit.gates)) <= 1
-            classify_mutation(parent.circuit, child)
-        assert parent.circuit == mixed_circuit()
-
-    def test_depth_grows_by_at_most_one(self):
-        parent = Individual(mixed_circuit(), 0.5, None, 0)
-        base = depth(parent.circuit)
-        for child in spawn_offspring(parent, 20, np.random.default_rng(10), MutationConfig()):
-            assert depth(child) <= base + 1
-
-    def test_count_validated(self):
-        parent = Individual(mixed_circuit(), 0.5, None, 0)
-        with pytest.raises(ValueError):
-            spawn_offspring(parent, 0, np.random.default_rng(0), MutationConfig())
 
 
 class TestSelect:
@@ -239,8 +216,8 @@ class TestEvolve:
         split = stratified_split(load_csv(wine_csv_path(), "class"), 0.2, seed=21)
         ev = make_evaluator(EvaluatorSpec(), split)
         config = EvolutionConfig(n=13, generations=6, shots=64, seed=21)
-        batched = dumps_canonical(evolve(config, ev).to_dict())
-        per_mask = dumps_canonical(evolve(config, lambda mask: ev(mask)).to_dict())
+        batched = dumps_canonical(evolve(config, ev))
+        per_mask = dumps_canonical(evolve(config, lambda mask: ev(mask)))
         assert batched == per_mask
 
     def test_different_seeds_differ(self):

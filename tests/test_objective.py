@@ -96,19 +96,19 @@ class TestFitness:
 class TestLedger:
     def test_best_tracking_prefers_first_on_tie(self):
         ledger = EvaluationLedger()
-        ledger.accuracy_for("10", lambda m: 0.5)
-        ledger.accuracy_for("01", lambda m: 0.9)
-        ledger.accuracy_for("11", lambda m: 0.9)
+        ledger.score(("10",), lambda m: 0.5)
+        ledger.score(("01",), lambda m: 0.9)
+        ledger.score(("11",), lambda m: 0.9)
         assert ledger.best_mask == "01"
         assert ledger.best_accuracy == 0.9
 
     def test_generation_counters_reset(self):
         ledger = EvaluationLedger()
-        ledger.accuracy_for("1", lambda m: 0.2)
+        ledger.score(("1",), lambda m: 0.2)
         ledger.note_support(5)
         ledger.close_generation()
-        ledger.accuracy_for("0", lambda m: 0.4)
-        ledger.accuracy_for("1", lambda m: 0.2)  # cache hit, not a miss
+        ledger.score(("0",), lambda m: 0.4)
+        ledger.score(("1",), lambda m: 0.2)  # cache hit, not a miss
         ledger.note_support(2)
         ledger.close_generation()
         assert ledger.per_generation_new == [1, 1]
@@ -126,13 +126,13 @@ class TestLedger:
             return 0.5
 
         with pytest.raises(FitnessError):
-            ledger.accuracy_for("10", flaky)
-        assert ledger.accuracy_for("10", flaky) == 0.5
+            ledger.score(("10",), flaky)
+        assert ledger.score(("10",), flaky)[0] == 0.5
         assert len(attempts) == 2
 
     def test_batch_scoring_evaluates_each_miss_once_in_first_seen_order(self):
         ledger = EvaluationLedger()
-        ledger.accuracy_for("00", lambda m: 0.1)
+        ledger.score(("00",), lambda m: 0.1)
         ev = CountingEvaluator({"11": 0.5, "10": 0.75, "01": 0.75})
         got = ledger.score(["11", "00", "10", "11", "01", "10"], ev)
         assert got == [0.5, 0.1, 0.75, 0.5, 0.75, 0.75]
@@ -158,7 +158,7 @@ class TestLedger:
                 return [self.table[m] for m in masks]
 
         ledger = EvaluationLedger()
-        ledger.accuracy_for("00", lambda m: 0.1)
+        ledger.score(("00",), lambda m: 0.1)
         ev = Batched({"11": 0.5, "10": 0.75, "01": 0.75})
         assert ledger.score(["11", "00", "10", "11", "01"], ev) == [0.5, 0.1, 0.75, 0.5, 0.75]
         assert ev.calls == [["11", "10", "01"]]

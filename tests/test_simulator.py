@@ -40,6 +40,16 @@ class TestMasks:
         assert mask_to_index("100") == 1
         assert mask_to_index("101") == 5
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 24))
+    def test_index_round_trip(self, data, n):
+        index = data.draw(st.integers(0, 2**n - 1))
+        mask = index_to_mask(index, n)
+        assert len(mask) == n
+        assert mask_to_index(mask) == index
+        other = data.draw(st.text(alphabet="01", min_size=n, max_size=n))
+        assert index_to_mask(mask_to_index(other), n) == other
+
     def test_columns(self):
         assert mask_columns("1010001100100") == [0, 2, 6, 7, 10]
 

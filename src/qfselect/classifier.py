@@ -8,10 +8,11 @@ line protocol.  All are deterministic functions of their inputs.
 
 from __future__ import annotations
 
-import queue
+import os
+import select
 import shlex
 import subprocess
-import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,27 +180,20 @@ class ExternalEvaluator:
     we send "HELLO EQFS 1 <n>" and expect "READY"; each "EVAL <mask>" is
     answered by "OK <accuracy>" or "ERR <message>"; "QUIT" ends the
     session.  One request is in flight at a time; the process is reused
-    for every mask of a run.
+    for every mask of a run.  Replies are read on the calling thread,
+    waiting on the pipe with select(), so this client needs a POSIX system.
     """
 
     def __init__(self, command: str | list[str], n: int, timeout: float = 60.0):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         self._timeout = timeout
-        self._lock = threading.Lock()
-        self._lines: queue.Queue[str | None] = queue.Queue()
+        self._unread = b""  # bytes received after the last complete reply
         try:
             self._proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
-                bufsize=1,
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE
             )
         except OSError as err:
             raise EvaluatorError(f"cannot launch evaluator {argv!r}: {err}") from err
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
         try:
             self._send(f"HELLO EQFS 1 {n}")
             reply = self._receive()
@@ -209,37 +203,38 @@ class ExternalEvaluator:
             self.close()
             raise
 
-    def _pump(self) -> None:
-        for line in self._proc.stdout:
-            self._lines.put(line.rstrip("\r\n"))
-        self._lines.put(None)
-
     def _send(self, message: str) -> None:
         try:
-            self._proc.stdin.write(message + "\n")
+            self._proc.stdin.write(message.encode("utf-8") + b"\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, ValueError, OSError) as err:
             raise EvaluatorError(f"evaluator process is gone: {err}") from err
 
     def _receive(self) -> str:
+        """The next reply line, waiting at most the timeout for it."""
+        deadline = time.monotonic() + self._timeout
+        fd = self._proc.stdout.fileno()
+        while b"\n" not in self._unread:
+            remaining = max(deadline - time.monotonic(), 0.0)
+            if not select.select([fd], [], [], remaining)[0]:
+                self._proc.kill()
+                raise EvaluatorError(f"evaluator gave no reply within {self._timeout} s")
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                code = self._proc.wait()
+                raise EvaluatorError(f"evaluator exited early with code {code}")
+            self._unread += chunk
+        line, _, self._unread = self._unread.partition(b"\n")
         try:
-            line = self._lines.get(timeout=self._timeout)
-        except queue.Empty:
-            self._proc.kill()
-            raise EvaluatorError(
-                f"evaluator gave no reply within {self._timeout} s"
-            ) from None
-        if line is None:
-            code = self._proc.wait()
-            raise EvaluatorError(f"evaluator exited early with code {code}")
-        return line
+            return line.removesuffix(b"\r").decode("utf-8")
+        except UnicodeDecodeError:
+            raise EvaluatorError(f"evaluator reply is not UTF-8: {line!r}") from None
 
     def __call__(self, mask: str) -> float:
-        with self._lock:
-            self._send(f"EVAL {mask}")
-            reply = self._receive()
+        self._send(f"EVAL {mask}")
+        reply = self._receive()
         if reply.startswith("ERR"):
-            raise EvaluatorError(f"evaluator error for mask {mask}: {reply[3:].strip()}")
+            raise EvaluatorError(f"evaluator error: {reply[3:].strip()}")
         if not reply.startswith("OK "):
             raise EvaluatorError(f"malformed evaluator reply: {reply!r}")
         try:
@@ -253,9 +248,8 @@ class ExternalEvaluator:
     def close(self) -> None:
         if self._proc.poll() is None:
             try:
-                self._proc.stdin.write("QUIT\n")
-                self._proc.stdin.flush()
-            except (BrokenPipeError, ValueError, OSError):
+                self._send("QUIT")
+            except EvaluatorError:
                 pass
             try:
                 self._proc.wait(timeout=5)
@@ -266,10 +260,7 @@ class ExternalEvaluator:
             self._proc.stdin.close()
         except OSError:
             pass  # unflushed bytes for a process that is gone
-        # The reader ends at end of file; close stdout only once it has.
-        self._reader.join(timeout=5)
-        if not self._reader.is_alive():
-            self._proc.stdout.close()
+        self._proc.stdout.close()
 
     def __enter__(self) -> "ExternalEvaluator":
         return self

@@ -24,6 +24,7 @@ from .dataset import Dataset, load_csv, stratified_split
 from .errors import OracleLimitError, QfselectError, RecordError
 from .evolution import EvolutionConfig, MutationConfig, evolve
 from .masks import index_to_mask
+from .objective import EvaluationLedger
 from .records import (
     OracleRecord,
     RunRecord,
@@ -160,7 +161,6 @@ def _dataset_digest(path: str | Path) -> str:
 
 def _dataset_config(args, data: Dataset, split_seed: int) -> dict:
     return {
-        "path": str(args.data),
         "label": str(args.label),
         "digest": _dataset_digest(args.data),
         "rows": data.n_rows,
@@ -243,7 +243,8 @@ _NO_DATASET = "(no dataset block)"
 def _summarize(records: list[RunRecord]) -> dict:
     """Per-generation means over `records` and their mean totals.
 
-    Refuses records of different datasets or generation counts.
+    Refuses records of different datasets, generation counts or shot
+    counts (seen as different predicted evaluation totals).
     """
     digests = {r.config.get("dataset", {}).get("digest", _NO_DATASET) for r in records}
     if len(digests) > 1:
@@ -251,6 +252,9 @@ def _summarize(records: list[RunRecord]) -> dict:
     lengths = {len(r.generations) for r in records}
     if len(lengths) > 1:
         raise RecordError(f"records disagree on generation count: {sorted(lengths)}")
+    predicted = {r.totals["predicted_evaluations"] for r in records}
+    if len(predicted) > 1:
+        raise RecordError(f"records disagree on predicted evaluations: {sorted(predicted)}")
 
     def per_generation(name: str) -> np.ndarray:
         return np.array([[getattr(e, name) for e in r.generations] for r in records])
@@ -280,23 +284,15 @@ def cmd_oracle(args) -> int:
     split = stratified_split(data, args.test_fraction, seed=args.seed)
 
     entries: list[dict] = []
-    best_mask = None
-    best_accuracy = -1.0
+    ledger = EvaluationLedger()
     evaluator = make_evaluator(args.spec, split)
     try:
         # Masks are built a chunk at a time, never all 2^n at once.
         for start in range(0, 2**n, BATCH_MASKS):
             stop = min(start + BATCH_MASKS, 2**n)
             masks = [index_to_mask(index, n) for index in range(start, stop)]
-            if hasattr(evaluator, "evaluate_many"):
-                accuracies = evaluator.evaluate_many(masks)
-            else:
-                accuracies = [evaluator(mask) for mask in masks]
-            for mask, accuracy in zip(masks, accuracies):
+            for mask, accuracy in zip(masks, ledger.score(masks, evaluator)):
                 entries.append({"mask": mask, "accuracy": accuracy})
-                if accuracy > best_accuracy:
-                    best_accuracy = accuracy
-                    best_mask = mask
     finally:
         evaluator.close()
 
@@ -307,12 +303,12 @@ def cmd_oracle(args) -> int:
             "dataset": _dataset_config(args, data, split_seed=args.seed),
         },
         entries=entries,
-        best_mask=best_mask,
-        best_accuracy=best_accuracy,
+        best_mask=ledger.best_mask,
+        best_accuracy=ledger.best_accuracy,
     )
     write_oracle_record(record, args.out)
     print(f"wrote {len(entries)} mask evaluations to {args.out}")
-    print(f"best mask {best_mask} accuracy {best_accuracy!r}")
+    print(f"best mask {ledger.best_mask} accuracy {ledger.best_accuracy!r}")
     return 0
 
 

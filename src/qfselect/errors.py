@@ -32,12 +32,12 @@ class EvaluatorError(QfselectError):
 class FitnessError(QfselectError):
     """Objective evaluation failed for a specific mask.
 
-    The offending mask is kept on the exception so callers can report
-    which feature combination broke the evaluator.
+    The offending mask is kept on the exception, and named in its message,
+    so callers can report which feature combination broke the evaluator.
     """
 
     def __init__(self, message: str, mask: str):
-        super().__init__(message)
+        super().__init__(f"mask {mask}: {message}")
         self.mask = mask
 
 

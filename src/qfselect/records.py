@@ -114,7 +114,12 @@ def dumps_canonical(value) -> str:
 
 
 def write_json(value, path: str | Path) -> None:
-    Path(path).write_text(dumps_canonical(value), encoding="utf-8")
+    """Write `value` canonically as UTF-8; nothing is written if it cannot be."""
+    try:
+        data = dumps_canonical(value).encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise RecordError(f"cannot write {path} as UTF-8: {err}") from None
+    Path(path).write_bytes(data)
 
 
 def _load_json(path: str | Path):

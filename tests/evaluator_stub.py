@@ -10,6 +10,7 @@ Modes:
   slow            sleeps 2 s before each OK
   die             exits with code 3 after the first EVAL
   bad-handshake   answers the handshake with NOPE
+  bad-utf8        OK followed by the bytes ff fe, which are not UTF-8
 """
 
 import sys
@@ -49,6 +50,9 @@ def main() -> int:
             print("WAT", flush=True)
         elif mode == "die":
             return 3
+        elif mode == "bad-utf8":
+            sys.stdout.buffer.write(b"OK \xff\xfe\n")
+            sys.stdout.flush()
         elif mode == "slow":
             time.sleep(2.0)
             print("OK 0.5", flush=True)

@@ -1,6 +1,7 @@
 """Evaluator tests: linear SVM, nearest centroid, external protocol."""
 
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -276,7 +277,33 @@ class TestExternalEvaluator:
         with pytest.raises(EvaluatorError, match="handshake"):
             ExternalEvaluator(stub_cmd("bad-handshake"), n=3)
 
-    @pytest.mark.parametrize("mode", ["ones-fraction", "die", "slow", "bad-handshake"])
+    def test_reply_that_is_not_utf8(self):
+        with ExternalEvaluator(stub_cmd("bad-utf8"), n=3, timeout=30) as proc:
+            started = time.monotonic()
+            with pytest.raises(EvaluatorError, match="not UTF-8"):
+                proc("101")
+            assert time.monotonic() - started < 5
+
+    def test_replies_split_across_reads_and_crlf(self):
+        # Two replies in one write, the second with a CRLF ending, then a
+        # reply sent a byte at a time: each call returns exactly one line.
+        script = (
+            "import sys, time\n"
+            "out = sys.stdout.buffer\n"
+            "sys.stdin.readline(); out.write(b'READY\\n'); out.flush()\n"
+            "sys.stdin.readline(); out.write(b'OK 0.25\\nOK 0.5\\r\\n'); out.flush()\n"
+            "sys.stdin.readline()\n"
+            "sys.stdin.readline()\n"
+            "for b in b'OK 0.75\\n':\n"
+            "    out.write(bytes([b])); out.flush(); time.sleep(0.01)\n"
+            "sys.stdin.readline()\n"
+        )
+        with ExternalEvaluator([sys.executable, "-c", script], n=3, timeout=5) as proc:
+            assert [proc("101"), proc("011"), proc("111")] == [0.25, 0.5, 0.75]
+
+    @pytest.mark.parametrize(
+        "mode", ["ones-fraction", "die", "slow", "bad-handshake", "bad-utf8"]
+    )
     def test_close_releases_pipes(self, mode):
         opened = []
         real_popen = classifier.subprocess.Popen

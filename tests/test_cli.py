@@ -1,6 +1,7 @@
 """End-to-end CLI tests: flags, exit codes, artifacts, reports."""
 
 import json
+import os
 import sys
 
 import numpy as np
@@ -21,6 +22,19 @@ def toy_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "toy.csv"
     write_planted_csv(path, n=4, rows=80, informative=(1, 2, 3), seed=5)
     return path
+
+
+class ConstantEvaluator:
+    """A plain mask -> accuracy callable with close(), and no evaluate_many."""
+
+    def __init__(self, accuracy):
+        self.accuracy = accuracy
+
+    def __call__(self, mask):
+        return self.accuracy
+
+    def close(self):
+        pass
 
 
 def run_args(toy_csv, out, **overrides):
@@ -57,6 +71,17 @@ class TestRun:
         assert main(run_args(toy_csv, out_b, repeat="1")) == 0
         assert (out_a / "record-000.json").read_bytes() == (
             out_b / "record-000.json"
+        ).read_bytes()
+
+    def test_record_does_not_depend_on_how_the_data_path_is_written(
+        self, toy_csv, tmp_path, monkeypatch
+    ):
+        out_abs, out_rel = tmp_path / "abs", tmp_path / "rel"
+        assert main(run_args(toy_csv.resolve(), out_abs, repeat="1")) == 0
+        monkeypatch.chdir(toy_csv.parent)
+        assert main(run_args(toy_csv.name, out_rel, repeat="1")) == 0
+        assert (out_abs / "record-000.json").read_bytes() == (
+            out_rel / "record-000.json"
         ).read_bytes()
 
     def test_aggregate_matches_records(self, toy_csv, tmp_path):
@@ -174,6 +199,27 @@ class TestOracle:
         assert main(argv) == 0
         assert len(read_oracle_record(out).entries) == 2
 
+    @pytest.fixture()
+    def planted_argv(self, tmp_path):
+        data = tmp_path / "planted.csv"
+        write_planted_csv(data, n=3, rows=40, informative=(0,), seed=2)
+        return ["oracle", "--data", str(data), "--label", "label",
+                "--out", str(tmp_path / "oracle.json")]
+
+    def test_plain_callable_ties_go_to_the_first_mask(self, planted_argv, monkeypatch):
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, data: ConstantEvaluator(0.5))
+        assert main(planted_argv) == 0
+        record = read_oracle_record(planted_argv[-1])
+        assert record.best_mask == cli.index_to_mask(0, 3)
+        assert record.best_accuracy == 0.5
+        assert len(record.entries) == 8
+
+    def test_out_of_range_accuracy_names_the_mask(self, planted_argv, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, data: ConstantEvaluator(1.5))
+        assert main(planted_argv) == 1
+        assert "mask 000" in capsys.readouterr().err
+        assert not os.path.exists(planted_argv[-1])
+
     def test_too_many_features_refused(self, tmp_path):
         n = 21
         data = tmp_path / "wide.csv"
@@ -275,6 +321,18 @@ class TestReport:
         code = main(["report", str(library_records[0]), str(out / "record-000.json")])
         assert code == 1
         assert "mix different datasets" in capsys.readouterr().err
+
+    def test_records_of_different_shot_counts_refused(self, tmp_path, capsys):
+        paths = []
+        for shots in (8, 64):
+            record = evolve(
+                EvolutionConfig(n=3, generations=3, shots=shots, seed=1),
+                lambda mask: mask.count("1") / len(mask),
+            )
+            paths.append(tmp_path / f"shots-{shots}.json")
+            write_run_record(record, paths[-1])
+        assert main(["report"] + [str(p) for p in paths]) == 1
+        assert "disagree on predicted evaluations" in capsys.readouterr().err
 
     def test_top_level_list_rejected(self, tmp_path, capsys):
         bad = tmp_path / "list.json"

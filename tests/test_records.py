@@ -148,6 +148,14 @@ class TestRunRecordRoundTrip:
         with pytest.raises(RecordError, match="version"):
             read_run_record(path)
 
+    def test_unencodable_string_writes_nothing(self, tmp_path):
+        from qfselect.records import write_json
+
+        path = tmp_path / "surrogate.json"
+        with pytest.raises(RecordError, match="UTF-8"):
+            write_json({"a": "\ud800"}, path)
+        assert not path.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(RecordError, match="no such"):
             read_run_record(tmp_path / "nope.json")

@@ -3,7 +3,9 @@
 Three interchangeable backends score a feature mask on a fixed train/test
 split: a from-scratch one-vs-rest linear SVM, a nearest-centroid model for
 cheap tests, and a client that delegates to an external process over a
-line protocol.  All are deterministic functions of their inputs.
+line protocol.  All are deterministic functions of their inputs.  The two
+local models score every mask through one routine,
+``_LocalEvaluator.evaluate_many``; a single mask is a batch of one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .dataset import SplitDataset
 from .errors import DegenerateTrainingError, EvaluatorError
-from .masks import mask_columns, validate_mask
+from .masks import validate_mask
 
 KINDS = ("linear-svm", "nearest-centroid", "external")
 
@@ -135,42 +137,13 @@ def _majority_accuracy(data: SplitDataset) -> float:
     return float(np.mean(data.test_labels == majority))
 
 
-def _nearest_centroid_accuracy(
-    train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray, test_y: np.ndarray
-) -> float:
-    classes = np.unique(train_y)
-    centroids = np.stack([train_x[train_y == c].mean(axis=0) for c in classes])
-    deltas = test_x[:, None, :] - centroids[None, :, :]
-    distances = np.einsum("tcf,tcf->tc", deltas, deltas)
-    # argmin takes the first minimum, so ties go to the lowest class.
-    predictions = classes[np.argmin(distances, axis=1)]
-    return float(np.mean(predictions == test_y))
-
-
 def evaluate(mask: str, data: SplitDataset, spec: EvaluatorSpec) -> float:
     """Test accuracy of the configured model trained on the masked columns."""
-    validate_mask(mask, data.n_features)
     if spec.kind == "external":
         raise EvaluatorError(
             "external evaluation needs a live process; use make_evaluator()"
         )
-    if "1" not in mask:
-        return _majority_accuracy(data)
-
-    cols = mask_columns(mask)
-    mean, std = data.train_mean[cols], data.train_std[cols]
-    train_x = _standardized(data.train_features[:, cols], mean, std)
-    test_x = _standardized(data.test_features[:, cols], mean, std)
-
-    if spec.kind == "nearest-centroid":
-        return _nearest_centroid_accuracy(
-            train_x, data.train_labels, test_x, data.test_labels
-        )
-    try:
-        model = train_linear_svm(train_x, data.train_labels, spec.C, spec.epochs)
-    except DegenerateTrainingError:
-        return _majority_accuracy(data)
-    return float(np.mean(model.predict(test_x) == data.test_labels))
+    return _LocalEvaluator(spec, data)(mask)
 
 
 class ExternalEvaluator:
@@ -221,7 +194,14 @@ class ExternalEvaluator:
                 raise EvaluatorError(f"evaluator gave no reply within {self._timeout} s")
             chunk = os.read(fd, 65536)
             if not chunk:
-                code = self._proc.wait()
+                try:
+                    code = self._proc.wait(max(deadline - time.monotonic(), 0.0))
+                except subprocess.TimeoutExpired:
+                    self._proc.kill()
+                    self._proc.wait()
+                    raise EvaluatorError(
+                        f"evaluator closed its output and gave no reply within {self._timeout} s"
+                    ) from None
                 raise EvaluatorError(f"evaluator exited early with code {code}")
             self._unread += chunk
         line, _, self._unread = self._unread.partition(b"\n")
@@ -272,9 +252,11 @@ class ExternalEvaluator:
 class _LocalEvaluator:
     """Callable facade binding a split and spec; close() is a no-op.
 
-    evaluate_many() scores a list of masks with one batched SVM fit per
-    BATCH_MASKS masks; it returns what calling the evaluator on each mask
-    returns.
+    The features are standardized once, by the training statistics, and
+    evaluate_many() is the one scoring routine: a mask's model sees only
+    the columns the mask keeps, the all-zero mask scores the majority
+    rule, and the SVM fits up to BATCH_MASKS masks together.  Calling the
+    evaluator on one mask scores a batch of one.
     """
 
     def __init__(self, spec: EvaluatorSpec, data: SplitDataset):
@@ -284,12 +266,10 @@ class _LocalEvaluator:
         self._test_x = _standardized(data.test_features, data.train_mean, data.train_std)
 
     def __call__(self, mask: str) -> float:
-        return evaluate(mask, self.data, self.spec)
+        return self.evaluate_many([mask])[0]
 
     def evaluate_many(self, masks: list[str]) -> list[float]:
         """Accuracies of `masks`, in order."""
-        if self.spec.kind != "linear-svm":
-            return [self(mask) for mask in masks]
         for mask in masks:
             validate_mask(mask, self.data.n_features)
         keep = np.array(
@@ -297,6 +277,10 @@ class _LocalEvaluator:
         ).reshape(len(masks), self.data.n_features)
         accuracies = np.full(len(masks), _majority_accuracy(self.data))
         fitted = np.flatnonzero(keep.any(axis=1))
+        if self.spec.kind == "nearest-centroid":
+            for row in fitted:
+                accuracies[row] = self._centroid_accuracy(keep[row])
+            return accuracies.tolist()
         try:
             for start in range(0, fitted.size, BATCH_MASKS):
                 rows = fitted[start : start + BATCH_MASKS]
@@ -304,6 +288,17 @@ class _LocalEvaluator:
         except DegenerateTrainingError:
             pass  # single-class training data: every mask scores the majority rule
         return accuracies.tolist()
+
+    def _centroid_accuracy(self, keep: np.ndarray) -> float:
+        train_x, test_x = self._train_x[:, keep], self._test_x[:, keep]
+        labels = self.data.train_labels
+        classes = np.unique(labels)
+        centroids = np.stack([train_x[labels == c].mean(axis=0) for c in classes])
+        deltas = test_x[:, None, :] - centroids[None, :, :]
+        distances = np.einsum("tcf,tcf->tc", deltas, deltas)
+        # argmin takes the first minimum, so ties go to the lowest class.
+        predictions = classes[np.argmin(distances, axis=1)]
+        return float(np.mean(predictions == self.data.test_labels))
 
     def _svm_accuracies(self, keep: np.ndarray) -> np.ndarray:
         classes, weights, biases = _train_ovr(

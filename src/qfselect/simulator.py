@@ -9,7 +9,8 @@ Conventions:
   word phases each amplitude by the parity of its operand bits.  An X or
   Y word sets each amplitude to c times itself plus -i*s times the
   amplitude with its operand bits flipped, times the Pauli word's unit
-  entry (1 for X, +-i for Y).  Simulation builds no 2x2 or 4x4 matrix.
+  entry (1 for X, +-i for Y).  No 2x2 or 4x4 gate matrix is built; the
+  tests hold that dense oracle.
 - ``simulate`` updates one state in place, gate by gate, through one
   scratch buffer of the same size; ``apply_gate`` runs the same kernel on
   a copy and leaves its input unchanged.
@@ -30,10 +31,6 @@ import numpy as np
 from .errors import InvalidGateError
 from .masks import index_to_mask
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 class GateKind(Enum):
     RX = "rx"
@@ -50,13 +47,6 @@ class GateKind(Enum):
 
 SINGLE_QUBIT_KINDS = (GateKind.RX, GateKind.RY, GateKind.RZ)
 TWO_QUBIT_KINDS = (GateKind.RXX, GateKind.RYY, GateKind.RZZ)
-
-_PAULI_1Q = {GateKind.RX: _X, GateKind.RY: _Y, GateKind.RZ: _Z}
-_PAULI_2Q = {
-    GateKind.RXX: np.kron(_X, _X),
-    GateKind.RYY: np.kron(_Y, _Y),
-    GateKind.RZZ: np.kron(_Z, _Z),
-}
 
 
 @dataclass(frozen=True)
@@ -80,15 +70,6 @@ class Gate:
             raise InvalidGateError(f"negative qubit index: {self.qubits}")
         if not math.isfinite(self.angle):
             raise InvalidGateError(f"gate angle must be finite, got {self.angle}")
-
-    def matrix(self) -> np.ndarray:
-        """The 2x2 or 4x4 unitary exp(-i*angle*P/2)."""
-        half = 0.5 * self.angle
-        if self.kind.n_qubits == 1:
-            pauli = _PAULI_1Q[self.kind]
-            return math.cos(half) * np.eye(2) - 1j * math.sin(half) * pauli
-        pauli = _PAULI_2Q[self.kind]
-        return math.cos(half) * np.eye(4) - 1j * math.sin(half) * pauli
 
 
 @dataclass(frozen=True)

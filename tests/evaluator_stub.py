@@ -11,8 +11,10 @@ Modes:
   die             exits with code 3 after the first EVAL
   bad-handshake   answers the handshake with NOPE
   bad-utf8        OK followed by the bytes ff fe, which are not UTF-8
+  close-stdout    closes its stdout at the first EVAL, then sleeps 30 s
 """
 
+import os
 import sys
 import time
 
@@ -53,6 +55,10 @@ def main() -> int:
         elif mode == "bad-utf8":
             sys.stdout.buffer.write(b"OK \xff\xfe\n")
             sys.stdout.flush()
+        elif mode == "close-stdout":
+            os.close(sys.stdout.fileno())
+            time.sleep(30.0)
+            return 0
         elif mode == "slow":
             time.sleep(2.0)
             print("OK 0.5", flush=True)

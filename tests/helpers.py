@@ -1,10 +1,24 @@
 """Shared test helpers: random circuits over the full gate basis, the dense
 gate oracle, and planted-feature data."""
 
+import math
+
 import numpy as np
 
 from qfselect.errors import OracleLimitError
 from qfselect.simulator import Circuit, Gate, GateKind, SINGLE_QUBIT_KINDS
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_PAULI = {
+    GateKind.RX: _X,
+    GateKind.RY: _Y,
+    GateKind.RZ: _Z,
+    GateKind.RXX: np.kron(_X, _X),
+    GateKind.RYY: np.kron(_Y, _Y),
+    GateKind.RZZ: np.kron(_Z, _Z),
+}
 
 
 def random_gate(rng: np.random.Generator, n: int) -> Gate:
@@ -21,12 +35,19 @@ def random_circuit(rng: np.random.Generator, n: int, n_gates: int) -> Circuit:
     return Circuit(n, tuple(random_gate(rng, n) for _ in range(n_gates)))
 
 
+def gate_matrix(gate: Gate) -> np.ndarray:
+    """The 2x2 or 4x4 unitary exp(-i*angle*P/2) of one gate."""
+    pauli = _PAULI[gate.kind]
+    half = 0.5 * gate.angle
+    return math.cos(half) * np.eye(len(pauli)) - 1j * math.sin(half) * pauli
+
+
 def dense_unitary(gate: Gate, n: int) -> np.ndarray:
     """Full 2**n x 2**n matrix of one gate; the simulator's oracle (n <= 6)."""
     if n > 6:
         raise OracleLimitError(f"dense oracle capped at 6 qubits, got n={n}")
     Circuit(n, (gate,))  # refuses operands outside the register
-    m = gate.matrix()
+    m = gate_matrix(gate)
     if gate.kind.n_qubits == 1:
         q = gate.qubits[0]
         return np.kron(np.kron(np.eye(1 << (n - 1 - q)), m), np.eye(1 << q))

@@ -210,19 +210,40 @@ class TestEvaluate:
 WINE_SPLIT = stratified_split(load_csv(wine_csv_path(), "class"), 0.2, seed=21)
 
 
+def reference_accuracy(mask, data, kind):
+    """Accuracy of a model fitted on the standardized kept columns alone."""
+    cols = [i for i, ch in enumerate(mask) if ch == "1"]
+    if not cols:
+        majority = np.bincount(data.train_labels).argmax()
+        return float(np.mean(data.test_labels == majority))
+    mean, std = data.train_mean[cols], data.train_std[cols]
+    train_x = _standardized(data.train_features[:, cols], mean, std)
+    test_x = _standardized(data.test_features[:, cols], mean, std)
+    if kind == "linear-svm":
+        model = train_linear_svm(train_x, data.train_labels)
+        predictions = model.predict(test_x)
+    else:
+        classes = np.unique(data.train_labels)
+        centroids = np.stack([train_x[data.train_labels == c].mean(axis=0) for c in classes])
+        distances = ((test_x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        predictions = classes[np.argmin(distances, axis=1)]
+    return float(np.mean(predictions == data.test_labels))
+
+
 class TestEvaluateMany:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         masks=st.lists(st.text(alphabet="01", min_size=13, max_size=13), max_size=8),
         chunk=st.sampled_from([1, 3, classifier.BATCH_MASKS]),
+        kind=st.sampled_from(["linear-svm", "nearest-centroid"]),
     )
-    def test_matches_per_mask_evaluate_on_wine(self, masks, chunk):
+    def test_matches_per_mask_evaluate_on_wine(self, masks, chunk, kind):
         masks = masks + ["0" * 13] + masks[:2]  # the all-zero mask and duplicates
-        spec = EvaluatorSpec()
-        ev = make_evaluator(spec, WINE_SPLIT)
+        ev = make_evaluator(EvaluatorSpec(kind=kind), WINE_SPLIT)
         with mock.patch.object(classifier, "BATCH_MASKS", chunk):
             got = ev.evaluate_many(masks)
-        assert got == [evaluate(mask, WINE_SPLIT, spec) for mask in masks]
+        assert got == [reference_accuracy(mask, WINE_SPLIT, kind) for mask in masks]
+        assert got == [evaluate(mask, WINE_SPLIT, EvaluatorSpec(kind=kind)) for mask in masks]
 
     def test_single_class_training_scores_majority(self):
         split = make_split(
@@ -284,6 +305,15 @@ class TestExternalEvaluator:
                 proc("101")
             assert time.monotonic() - started < 5
 
+    def test_closed_stdout_of_a_live_process(self):
+        # The child closes its stdout but keeps running: end of file must
+        # not wait past the reply deadline.
+        with ExternalEvaluator(stub_cmd("close-stdout"), n=3, timeout=1) as proc:
+            started = time.monotonic()
+            with pytest.raises(EvaluatorError, match="no reply within"):
+                proc("101")
+            assert time.monotonic() - started < 5
+
     def test_replies_split_across_reads_and_crlf(self):
         # Two replies in one write, the second with a CRLF ending, then a
         # reply sent a byte at a time: each call returns exactly one line.
@@ -302,7 +332,8 @@ class TestExternalEvaluator:
             assert [proc("101"), proc("011"), proc("111")] == [0.25, 0.5, 0.75]
 
     @pytest.mark.parametrize(
-        "mode", ["ones-fraction", "die", "slow", "bad-handshake", "bad-utf8"]
+        "mode",
+        ["ones-fraction", "die", "slow", "bad-handshake", "bad-utf8", "close-stdout"],
     )
     def test_close_releases_pipes(self, mode):
         opened = []

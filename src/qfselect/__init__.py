@@ -41,7 +41,7 @@ from .evolution import (
     mutate,
     select,
 )
-from .masks import index_to_mask, mask_columns, mask_to_index, validate_mask
+from .masks import index_to_mask, mask_to_index, validate_mask
 from .objective import (
     EvaluationLedger,
     empirical_auc,
@@ -88,7 +88,6 @@ __all__ = [
     "zero_state",
     # feature masks
     "index_to_mask",
-    "mask_columns",
     "mask_to_index",
     "validate_mask",
     # datasets

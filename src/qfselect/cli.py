@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import BATCH_MASKS, EvaluatorSpec, make_evaluator
+from .classifier import BATCH_MASKS, KINDS, EvaluatorSpec, make_evaluator
 from .dataset import Dataset, load_csv, stratified_split
 from .errors import OracleLimitError, QfselectError, RecordError
 from .evolution import EvolutionConfig, MutationConfig, evolve
@@ -90,7 +90,7 @@ def _add_data_flags(sub: argparse.ArgumentParser) -> None:
 def _add_evaluator_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--evaluator",
-        choices=("linear-svm", "nearest-centroid", "external"),
+        choices=KINDS,
         default="linear-svm",
         help="mask-scoring backend (default: linear-svm)",
     )

@@ -10,7 +10,7 @@ class InvalidGateError(QfselectError, ValueError):
 
 
 class OracleLimitError(QfselectError, ValueError):
-    """Dense-matrix oracle requested beyond its size guard."""
+    """Exhaustive enumeration requested beyond its size cap (`qfselect oracle`: n <= 20)."""
 
 
 class MaskError(QfselectError, ValueError):
@@ -42,7 +42,7 @@ class FitnessError(QfselectError):
 
 
 class InsufficientDataError(QfselectError):
-    """A metric was requested from an empty evaluation ledger."""
+    """A metric was requested from an empty per-generation series."""
 
 
 class RecordError(QfselectError):

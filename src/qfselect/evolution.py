@@ -47,8 +47,10 @@ class MutationConfig:
             raise ValueError(f"mutation probabilities must lie in [0, 1], got {probs}")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ValueError(f"mutation probabilities must sum to 1, got {sum(probs)!r}")
-        if not self.sigma_modify > 0:
-            raise ValueError(f"sigma_modify must be positive, got {self.sigma_modify}")
+        if not (math.isfinite(self.sigma_modify) and self.sigma_modify > 0):
+            raise ValueError(
+                f"sigma_modify must be positive and finite, got {self.sigma_modify}"
+            )
 
     @property
     def probabilities(self) -> tuple[float, float, float, float]:
@@ -141,59 +143,55 @@ def select(parents: list[Individual], offspring: list[Individual], mu: int) -> l
     return [pool[i] for i in ranked[:mu]]
 
 
-def _generation_entry(
-    generation: int, parents: list[Individual], ledger: EvaluationLedger
-) -> GenerationEntry:
-    return GenerationEntry(
-        generation=generation,
-        best_fitness=parents[0].fitness,
-        parent_fitness=[p.fitness for p in parents],
-        support=ledger.per_generation_support[generation],
-        new_evaluations=ledger.per_generation_new[generation],
-        best_mask=ledger.best_mask,
-        best_accuracy=ledger.best_accuracy,
-        parent_depth=depth(parents[0].circuit),
-    )
-
-
 def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
     """Run the full loop and return the per-generation record.
 
     Generation 0 is a single empty circuit (all probability mass on the
-    all-zero mask).  Each later generation derives one random substream
-    per offspring from (seed, generation), used first for the mutation
-    draws and then for the measurement shots, so results do not depend on
-    evaluation order.  All offspring are sampled before any is scored, and
-    their masks go to the ledger as one batch.
+    all-zero mask), sampled from the (seed, 0) stream.  Each later
+    generation derives one random substream per offspring from (seed,
+    generation), used first for the mutation draws and then for the
+    measurement shots, so results do not depend on evaluation order.  Every
+    generation samples all its circuits before any is scored, sends their
+    masks to the ledger as one batch, and is logged from what it sampled.
     """
     ledger = EvaluationLedger()
     entries: list[GenerationEntry] = []
+    parents: list[Individual] = []
 
-    root_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
-    empty = Circuit(config.n, ())
-    dist0 = sample(simulate(empty), config.shots, root_rng)
-    parents = [Individual(empty, fitness(dist0, evaluator, ledger), dist0, 0)]
-    ledger.close_generation()
-    entries.append(_generation_entry(0, parents, ledger))
-
-    for generation in range(1, config.generations + 1):
-        streams = np.random.SeedSequence((config.seed, generation)).spawn(config.lambda_)
+    for generation in range(config.generations + 1):
         sampled: list[tuple[Circuit, SampledDistribution]] = []
-        for i in range(config.lambda_):
-            rng = np.random.default_rng(streams[i])
-            parent = parents[i % len(parents)]
-            circuit = mutate(parent.circuit, rng, config.mutation)
-            sampled.append((circuit, sample(simulate(circuit), config.shots, rng)))
+        if generation == 0:
+            rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
+            empty = Circuit(config.n, ())
+            sampled.append((empty, sample(simulate(empty), config.shots, rng)))
+        else:
+            streams = np.random.SeedSequence((config.seed, generation)).spawn(config.lambda_)
+            for i in range(config.lambda_):
+                rng = np.random.default_rng(streams[i])
+                parent = parents[i % len(parents)]
+                circuit = mutate(parent.circuit, rng, config.mutation)
+                sampled.append((circuit, sample(simulate(circuit), config.shots, rng)))
         # One evaluator call for the whole generation's cache misses, in the
         # order a child-by-child pass would have met them.
+        cached = ledger.size
         ledger.score((mask for _, dist in sampled for mask in dist.counts), evaluator)
         children = [
             Individual(circuit, fitness(dist, evaluator, ledger), dist, generation)
             for circuit, dist in sampled
         ]
         parents = select(parents, children, config.mu)
-        ledger.close_generation()
-        entries.append(_generation_entry(generation, parents, ledger))
+        entries.append(
+            GenerationEntry(
+                generation=generation,
+                best_fitness=parents[0].fitness,
+                parent_fitness=[p.fitness for p in parents],
+                support=sum(len(dist.counts) for _, dist in sampled),
+                new_evaluations=ledger.size - cached,
+                best_mask=ledger.best_mask,
+                best_accuracy=ledger.best_accuracy,
+                parent_depth=depth(parents[0].circuit),
+            )
+        )
 
     cache = ledger.cache
     final = [
@@ -205,7 +203,7 @@ def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
     ]
     totals = {
         "cache_size": ledger.size,
-        "empirical_auc": empirical_auc(ledger),
+        "empirical_auc": empirical_auc([e.support for e in entries]),
         "predicted_evaluations": predicted_total_evaluations(
             config.shots, config.generations
         ),

@@ -22,12 +22,6 @@ def mask_to_index(mask: str) -> int:
     return sum(1 << i for i, ch in enumerate(mask) if ch == "1")
 
 
-def mask_columns(mask: str) -> list[int]:
-    """Column indices selected by the mask, in ascending order."""
-    validate_mask(mask)
-    return [i for i, ch in enumerate(mask) if ch == "1"]
-
-
 def validate_mask(mask: str, n: int | None = None) -> None:
     if not mask or any(ch not in "01" for ch in mask):
         raise MaskError(f"not a bitstring: {mask!r}")

@@ -1,14 +1,15 @@
-"""Sampled objective F = sum_x p(x) f(x) and evaluation-count accounting.
+"""Sampled objective F = sum_x p(x) f(x) and the evaluation-count model.
 
-The ledger is the one mutable object a run shares: it caches mask accuracy
-so the classifier trains at most once per mask, and it counts, per
-generation, both genuinely new evaluations (cache misses) and the summed
-support sizes of all sampled distributions (the evaluation cost curve).
+The ledger is the one mutable object a run shares: a mask -> accuracy memo,
+so the classifier trains at most once per mask, that also tracks the best
+mask seen.  The per-generation counts (support sizes and cache misses) are
+the evolution loop's to log; ``empirical_auc`` integrates the support curve
+it hands over.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -19,18 +20,14 @@ Evaluator = Callable[[str], float]
 
 
 class EvaluationLedger:
-    """Mask-accuracy cache with per-generation counters.
+    """Mask-accuracy cache that also tracks the best mask.
 
     A mask enters the cache the first time it scores and is never
-    evaluated again.  Counters accumulate until close_generation().
+    evaluated again, so ``size`` counts the evaluations made so far.
     """
 
     def __init__(self) -> None:
         self._cache: dict[str, float] = {}
-        self._open_new = 0
-        self._open_support = 0
-        self.per_generation_new: list[int] = []
-        self.per_generation_support: list[int] = []
         self.best_mask: str | None = None
         self.best_accuracy: float = float("-inf")
 
@@ -73,32 +70,23 @@ class EvaluationLedger:
                     f"evaluator returned {value!r}, outside [0, 1]", mask=mask
                 )
             self._cache[mask] = value
-            self._open_new += 1
             if value > self.best_accuracy:
                 self.best_accuracy = value
                 self.best_mask = mask
         return [self._cache[mask] for mask in masks]
 
-    def note_support(self, size: int) -> None:
-        self._open_support += size
-
-    def close_generation(self) -> None:
-        """Snapshot and reset the per-generation counters."""
-        self.per_generation_new.append(self._open_new)
-        self.per_generation_support.append(self._open_support)
-        self._open_new = 0
-        self._open_support = 0
-
 
 def fitness(
     dist: SampledDistribution, evaluator: Evaluator, ledger: EvaluationLedger
 ) -> float:
-    """Shot-frequency-weighted accuracy of the masks in `dist`."""
+    """Shot-frequency-weighted accuracy of the masks in `dist`.
+
+    Uncached masks are scored into `ledger`; nothing else changes.
+    """
     probs = quasi_probabilities(dist)
     total = 0.0
     for p, accuracy in zip(probs.values(), ledger.score(probs, evaluator)):
         total += p * accuracy
-    ledger.note_support(len(probs))
     return total
 
 
@@ -107,9 +95,8 @@ def predicted_total_evaluations(m: int, K: int) -> float:
     return m * K / 2.0
 
 
-def empirical_auc(ledger: EvaluationLedger) -> float:
+def empirical_auc(support: Sequence[int]) -> float:
     """Trapezoidal area under the per-generation support-size curve."""
-    counts = ledger.per_generation_support
-    if not counts:
+    if len(support) == 0:
         raise InsufficientDataError("no generations recorded")
-    return float(np.trapezoid(np.asarray(counts, dtype=np.float64)))
+    return float(np.trapezoid(np.asarray(support, dtype=np.float64)))

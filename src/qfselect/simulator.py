@@ -94,13 +94,6 @@ class SampledDistribution:
     shots: int
     counts: dict[str, int]
 
-    @property
-    def n(self) -> int:
-        return len(next(iter(self.counts)))
-
-    def support_size(self) -> int:
-        return len(self.counts)
-
 
 def _check_gate(gate: Gate, n: int) -> None:
     if any(q >= n for q in gate.qubits):

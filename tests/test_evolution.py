@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qfselect import evolution
 from qfselect.classifier import EvaluatorSpec, make_evaluator
 from qfselect.dataset import load_csv, stratified_split, wine_csv_path
 from qfselect.evolution import (
@@ -16,7 +17,7 @@ from qfselect.evolution import (
     select,
 )
 from qfselect.records import dumps_canonical
-from qfselect.simulator import Circuit, Gate, GateKind, depth, simulate
+from qfselect.simulator import Circuit, Gate, GateKind, depth, sample, simulate
 
 
 def ones_fraction(mask):
@@ -67,6 +68,12 @@ class TestMutationConfig:
             MutationConfig(p_insert=1.2, p_modify=-0.2, p_delete=0.0, p_swap=0.0)
         with pytest.raises(ValueError, match="sigma"):
             MutationConfig(sigma_modify=0.0)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_sigma_must_be_finite(self, sigma):
+        # If accepted, an infinite step fails only mid-run, as a non-finite gate angle.
+        with pytest.raises(ValueError, match="sigma"):
+            MutationConfig(sigma_modify=sigma)
 
 
 class TestMutate:
@@ -246,6 +253,39 @@ class TestEvolve:
         assert len(record.generations[-1].parent_fitness) == 2
         fits = record.generations[-1].parent_fitness
         assert fits == sorted(fits, reverse=True)
+
+    def test_counts_are_logged_from_what_each_generation_sampled(self, monkeypatch):
+        supports = []
+
+        def recording_sample(state, shots, rng):
+            dist = sample(state, shots, rng)
+            supports.append(len(dist.counts))
+            return dist
+
+        class BatchEvaluator:
+            def __init__(self):
+                self.batches = []
+
+            def __call__(self, mask):
+                return ones_fraction(mask)
+
+            def evaluate_many(self, masks):
+                self.batches.append(len(masks))
+                return [ones_fraction(m) for m in masks]
+
+        monkeypatch.setattr(evolution, "sample", recording_sample)
+        config = EvolutionConfig(n=5, lambda_=4, generations=6, shots=16, seed=8)
+        ev = BatchEvaluator()
+        record = evolve(config, ev)
+        lam = config.lambda_
+        per_generation = [supports[:1]] + [
+            supports[1 + (g - 1) * lam : 1 + g * lam] for g in range(1, config.generations + 1)
+        ]
+        assert len(supports) == 1 + config.generations * lam
+        assert [e.support for e in record.generations] == [sum(s) for s in per_generation]
+        new = [e.new_evaluations for e in record.generations]
+        assert [k for k in new if k] == ev.batches
+        assert sum(new) == record.totals["cache_size"]
 
     def test_totals(self):
         config = EvolutionConfig(n=4, generations=6, shots=32, seed=2)

@@ -68,15 +68,6 @@ class TestFitness:
         # Each mask hit the evaluator exactly once.
         assert sorted(ev.calls) == ["01", "10", "11"]
 
-    def test_support_counter(self):
-        ev = CountingEvaluator({"10": 0.5, "01": 0.25})
-        ledger = EvaluationLedger()
-        fitness(dist({"10": 3, "01": 1}), ev, ledger)
-        fitness(dist({"10": 4}), ev, ledger)
-        ledger.close_generation()
-        assert ledger.per_generation_support == [3]
-        assert ledger.per_generation_new == [2]
-
     def test_evaluator_failure_carries_mask(self):
         def boom(mask):
             raise RuntimeError("disk on fire")
@@ -101,19 +92,6 @@ class TestLedger:
         ledger.score(("11",), lambda m: 0.9)
         assert ledger.best_mask == "01"
         assert ledger.best_accuracy == 0.9
-
-    def test_generation_counters_reset(self):
-        ledger = EvaluationLedger()
-        ledger.score(("1",), lambda m: 0.2)
-        ledger.note_support(5)
-        ledger.close_generation()
-        ledger.score(("0",), lambda m: 0.4)
-        ledger.score(("1",), lambda m: 0.2)  # cache hit, not a miss
-        ledger.note_support(2)
-        ledger.close_generation()
-        assert ledger.per_generation_new == [1, 1]
-        assert ledger.per_generation_support == [5, 2]
-        assert sum(ledger.per_generation_new) == ledger.size
 
     def test_failed_evaluation_not_cached(self):
         ledger = EvaluationLedger()
@@ -189,27 +167,17 @@ class TestEvaluationCounts:
         assert predicted_total_evaluations(64, 1) == 32.0
 
     def test_auc_all_zero(self):
-        ledger = EvaluationLedger()
-        for _ in range(5):
-            ledger.close_generation()
-        assert empirical_auc(ledger) == 0.0
+        assert empirical_auc([0] * 5) == 0.0
 
     def test_auc_matches_linear_ramp(self):
         # Support counts following (m/K)*k integrate to ~ m*K/2.
         m, big_k = 64, 12
-        ledger = EvaluationLedger()
-        for k in range(big_k + 1):
-            ledger.note_support(round(m / big_k * k))
-            ledger.close_generation()
-        auc = empirical_auc(ledger)
+        auc = empirical_auc([round(m / big_k * k) for k in range(big_k + 1)])
         assert auc == pytest.approx(predicted_total_evaluations(m, big_k), abs=8)
 
     def test_auc_single_point_is_zero(self):
-        ledger = EvaluationLedger()
-        ledger.note_support(10)
-        ledger.close_generation()
-        assert empirical_auc(ledger) == 0.0
+        assert empirical_auc([10]) == 0.0
 
     def test_empty_ledger_rejected(self):
         with pytest.raises(InsufficientDataError):
-            empirical_auc(EvaluationLedger())
+            empirical_auc([])

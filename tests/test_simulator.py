@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfselect.errors import InvalidGateError, MaskError, OracleLimitError
-from qfselect.masks import index_to_mask, mask_columns, mask_to_index
+from qfselect.masks import index_to_mask, mask_to_index
 from qfselect.simulator import (
     Circuit,
     Gate,
@@ -49,9 +49,6 @@ class TestMasks:
         assert mask_to_index(mask) == index
         other = data.draw(st.text(alphabet="01", min_size=n, max_size=n))
         assert index_to_mask(mask_to_index(other), n) == other
-
-    def test_columns(self):
-        assert mask_columns("1010001100100") == [0, 2, 6, 7, 10]
 
     def test_rejects_garbage(self):
         with pytest.raises(MaskError):
@@ -198,7 +195,7 @@ class TestSample:
         dist = sample(state, 257, rng)
         assert sum(dist.counts.values()) == 257
         assert all(c >= 1 for c in dist.counts.values())
-        assert dist.support_size() <= min(257, 16)
+        assert len(dist.counts) <= min(257, 16)
 
     def test_total_variation_at_1e5_shots(self):
         rng = np.random.default_rng(77)

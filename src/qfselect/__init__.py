@@ -32,6 +32,7 @@ from .errors import (
     OracleLimitError,
     QfselectError,
     RecordError,
+    StateSizeError,
 )
 from .evolution import (
     EvolutionConfig,
@@ -63,11 +64,13 @@ from .simulator import (
     Gate,
     GateKind,
     SampledDistribution,
+    SupportState,
     apply_gate,
     depth,
     quasi_probabilities,
     sample,
     simulate,
+    simulate_support,
     zero_state,
 )
 
@@ -80,11 +83,13 @@ __all__ = [
     "Gate",
     "GateKind",
     "SampledDistribution",
+    "SupportState",
     "apply_gate",
     "depth",
     "quasi_probabilities",
     "sample",
     "simulate",
+    "simulate_support",
     "zero_state",
     # feature masks
     "index_to_mask",
@@ -135,4 +140,5 @@ __all__ = [
     "MaskError",
     "OracleLimitError",
     "RecordError",
+    "StateSizeError",
 ]

@@ -47,3 +47,7 @@ class InsufficientDataError(QfselectError):
 
 class RecordError(QfselectError):
     """A run record file is corrupt, incompatible, or inconsistent."""
+
+
+class StateSizeError(QfselectError):
+    """A state would not fit the simulator: n > 62 or over 2^24 amplitudes."""

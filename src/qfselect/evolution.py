@@ -25,7 +25,8 @@ from .simulator import (
     depth,
     quasi_probabilities,
     sample,
-    simulate,
+    # evolve samples the support form; the benchmark's tracer wraps this name.
+    simulate_support as simulate,
 )
 
 MUTATION_KINDS = ("insert", "modify", "delete", "swap")

@@ -1,9 +1,9 @@
 """Exact statevector simulation for circuits of rotation gates.
 
 Conventions:
-- A state over n qubits is a complex ndarray of 2**n amplitudes.  Basis
-  index j encodes bit i as ``(j >> i) & 1`` (little-endian); bit i is
-  feature i, and bitstrings render x_0 leftmost (see masks.py).
+- A dense state over n qubits is a complex ndarray of 2**n amplitudes.
+  Basis index j encodes bit i as ``(j >> i) & 1`` (little-endian); bit i
+  is feature i, and bitstrings render x_0 leftmost (see masks.py).
 - All gates follow the exp(-i*theta*P/2) convention, P a Pauli word, so
   every gate is c*I - i*s*P with c = cos(theta/2), s = sin(theta/2).  A Z
   word phases each amplitude by the parity of its operand bits.  An X or
@@ -11,9 +11,30 @@ Conventions:
   amplitude with its operand bits flipped, times the Pauli word's unit
   entry (1 for X, +-i for Y).  No 2x2 or 4x4 gate matrix is built; the
   tests hold that dense oracle.
-- ``simulate`` updates one state in place, gate by gate, through one
-  scratch buffer of the same size; ``apply_gate`` runs the same kernel on
-  a copy and leaves its input unchanged.
+
+The support of a circuit's state: it starts at |0...0>, Z words only
+change phases, and an X or Y word with operand mask m mixes index j with
+j ^ m.  So every nonzero amplitude lies in the GF(2) span of the
+circuit's X/Y operand masks, of dimension d <= n.  ``simulate_support``
+holds only those 2**d amplitudes (a ``SupportState``), over a reduced
+echelon basis of the span.  Three facts make one kernel serve every d:
+- position k holds index(k) = XOR of basis[i] over the set bits i of k,
+  and that map is strictly increasing, so the CDF of |amplitude|**2 over
+  positions is the dense CDF without its zeros;
+- a mask m in the span has m's bit at basis[i]'s leading bit as its i-th
+  coordinate, at most two of them set, so the partner of position k is
+  k ^ coordinates(m): a reversed-axis view, as on a dense state;
+- the parity of index(k) & m is the parity of k & T, where bit i of T is
+  the parity of basis[i] & m.
+At d = n the basis is the unit vectors and the kernel is the dense one;
+``apply_gate`` runs it so on a copy of a dense state.  ``simulate`` runs
+the support kernel and scatters the result into 2**n amplitudes.
+
+Sizes: n is at most MAX_QUBITS = 62 (indices are int64), and no state
+array holds more than 2**MAX_DIMENSION = 2**24 amplitudes (256 MiB).  A
+circuit past either cap raises StateSizeError before anything of that
+size is allocated; dense output (``simulate``, ``zero_state``) is capped
+at n <= 24 accordingly.
 
 The gate basis is six rotations: RX, RY, RZ on one qubit and RXX, RYY,
 RZZ on two.  All three two-qubit rotations are symmetric under operand
@@ -28,7 +49,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidGateError
+from .errors import InvalidGateError, StateSizeError
 from .masks import index_to_mask
 
 
@@ -47,6 +68,14 @@ class GateKind(Enum):
 
 SINGLE_QUBIT_KINDS = (GateKind.RX, GateKind.RY, GateKind.RZ)
 TWO_QUBIT_KINDS = (GateKind.RXX, GateKind.RYY, GateKind.RZZ)
+
+# Basis indices are int64, and no state array holds more than
+# 2**MAX_DIMENSION amplitudes (256 MiB of complex128).
+MAX_QUBITS = 62
+MAX_DIMENSION = 24
+
+_X_KINDS = (GateKind.RX, GateKind.RXX)
+_Z_KINDS = (GateKind.RZ, GateKind.RZZ)
 
 
 @dataclass(frozen=True)
@@ -100,78 +129,206 @@ def _check_gate(gate: Gate, n: int) -> None:
         raise InvalidGateError(f"gate {gate.kind.value} on {gate.qubits} exceeds n={n}")
 
 
+def _refuse_oversize(n: int, dimension: int) -> None:
+    """Refuse a register past int64 indices or a state past the amplitude cap."""
+    if n > MAX_QUBITS:
+        raise StateSizeError(
+            f"n={n} exceeds the simulator's {MAX_QUBITS}-qubit limit (int64 indices)"
+        )
+    if dimension > MAX_DIMENSION:
+        raise StateSizeError(
+            f"a state of 2^{dimension} amplitudes exceeds the cap of "
+            f"2^{MAX_DIMENSION} (n={n})"
+        )
+
+
 def zero_state(n: int) -> np.ndarray:
+    _refuse_oversize(n, n)
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
     return state
 
 
-# Views and parity signs for a state reshaped to put each operand bit on
-# an axis of length 2: (-1, 2, lo) for one qubit, (-1, 2, mid, 2, lo) for
-# two.  The flip view reverses those axes; the sign is (-1)**(parity of
-# the operand bits), shaped to broadcast against the reshaped state.
-_FLIP_1Q = (slice(None), slice(None, None, -1))
-_FLIP_2Q = _FLIP_1Q + _FLIP_1Q
-_SIGN_1Q = np.array([1.0, -1.0])[:, None]
-_SIGN_2Q = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None]
+@dataclass(frozen=True)
+class SupportState:
+    """A state whose nonzero amplitudes lie in the GF(2) span of ``basis``.
+
+    ``basis`` is reduced echelon and ascending: each vector's highest set
+    bit (its lead) is clear in every other vector.  ``amplitudes[k]`` is the
+    amplitude of ``index(k)``, the XOR of ``basis[i]`` over the set bits i
+    of k; that map is strictly increasing in k.
+    """
+
+    n: int
+    basis: tuple[int, ...]
+    amplitudes: np.ndarray
+
+    def index(self, k: int) -> int:
+        """The basis index held at position ``k``."""
+        index = 0
+        for vector in self.basis:
+            if not k:
+                break
+            if k & 1:
+                index ^= vector
+            k >>= 1
+        return index
+
+    def indices(self) -> np.ndarray:
+        """``index(k)`` for every position k, ascending."""
+        indices = np.zeros(1, dtype=np.int64)
+        for vector in self.basis:
+            indices = np.concatenate((indices, indices ^ vector))
+        return indices
+
+    def dense(self) -> np.ndarray:
+        """The full 2**n statevector, zero outside the span."""
+        _refuse_oversize(self.n, self.n)
+        state = np.zeros(1 << self.n, dtype=complex)
+        state[self.indices()] = self.amplitudes
+        return state
+
+
+def _operand_mask(gate: Gate) -> int:
+    return sum(1 << q for q in gate.qubits)
+
+
+def span_basis(circuit: Circuit) -> tuple[int, ...]:
+    """Reduced echelon basis, ascending, of the span of the X/Y operand masks.
+
+    Raises StateSizeError for n > MAX_QUBITS, or as soon as the span would
+    hold more than 2**MAX_DIMENSION states, before any state is allocated.
+    """
+    _refuse_oversize(circuit.n, 0)
+    basis: list[int] = []
+    for gate in circuit.gates:
+        if gate.kind in _Z_KINDS:
+            continue
+        mask = _operand_mask(gate)
+        for vector in basis:
+            if mask >> (vector.bit_length() - 1) & 1:
+                mask ^= vector
+        if mask:
+            _refuse_oversize(circuit.n, len(basis) + 1)
+            lead = mask.bit_length() - 1
+            basis = [v ^ mask if v >> lead & 1 else v for v in basis]
+            basis.append(mask)
+    # Leads are distinct highest bits, so value order is lead order.
+    return tuple(sorted(basis))
+
+
+def _unit_basis(n: int) -> tuple[int, ...]:
+    return tuple(1 << q for q in range(n))
+
+
+_KEEP = slice(None)
+_FLIP = slice(None, None, -1)
+_ONE = np.ones(1)
+_PLUS_MINUS = np.array([1.0, -1.0])
+
+
+def _layout(flips: int, signs: int) -> tuple[tuple, tuple, np.ndarray]:
+    """Reshape, flip view and sign for positions k of a coefficient array.
+
+    Every bit set in ``flips | signs`` gets an axis of length 2: shape
+    (-1, 2, gap, 2, gap, ...), highest bit first.  The view reverses the
+    ``flips`` axes, which maps k to k ^ flips.  The sign is
+    (-1)**parity(k & signs), shaped to broadcast against the reshape.
+    """
+    axes = flips | signs
+    bits = [b for b in reversed(range(axes.bit_length())) if axes >> b & 1]
+    shape, view, sign = [-1], [_KEEP], np.ones(())
+    for below, bit in zip(bits[1:] + [-1], bits):
+        shape += [2, 1 << (bit - below - 1)]
+        view += [_FLIP if flips >> bit & 1 else _KEEP, _KEEP]
+        sign = np.multiply.outer(sign, _PLUS_MINUS if signs >> bit & 1 else _ONE)[..., None]
+    return tuple(shape), tuple(view), sign
 
 
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply one gate to a copy of ``state``; the input is left unchanged."""
-    _check_gate(gate, _qubit_count(state))
+    n = _qubit_count(state)
+    _check_gate(gate, n)
     out = state.astype(complex, copy=True)
-    _apply_in_place(out, np.empty_like(out), gate)
+    _apply_in_place(out, np.empty_like(out), gate, _unit_basis(n))
     return out
 
 
-def _apply_in_place(state: np.ndarray, buf: np.ndarray, gate: Gate) -> None:
-    """Overwrite ``state`` with ``gate`` applied; ``buf`` is same-size scratch."""
+def _apply_in_place(
+    state: np.ndarray, buf: np.ndarray, gate: Gate, basis: tuple[int, ...]
+) -> None:
+    """Overwrite the coefficients ``state`` over ``basis`` with ``gate`` applied.
+
+    ``buf`` is same-size scratch.  An X or Y word's operand mask lies in the
+    span; its coordinates (its bits at the basis leads, at most two) are the
+    position flip.  The parity of an index's operand bits is the parity of
+    k & T, where bit i of T is the parity of basis[i]'s operand bits.
+    """
     half = 0.5 * gate.angle
     c, s = math.cos(half), math.sin(half)
-    if gate.kind.n_qubits == 1:
-        q = gate.qubits[0]
-        shape, flip, sign = (-1, 2, 1 << q), _FLIP_1Q, _SIGN_1Q
-    else:
-        p, r = sorted(gate.qubits)
-        shape, flip, sign = (-1, 2, 1 << (r - p - 1), 2, 1 << p), _FLIP_2Q, _SIGN_2Q
+    mask = _operand_mask(gate)
+    flipping = gate.kind not in _Z_KINDS
+    signed = gate.kind not in _X_KINDS
+    flips = signs = 0
+    for i, vector in enumerate(basis):
+        if flipping and mask >> (vector.bit_length() - 1) & 1:
+            flips |= 1 << i
+        if signed and (vector & mask).bit_count() & 1:
+            signs |= 1 << i
+    shape, view, sign = _layout(flips, signs)
     t = state.reshape(shape)
-    if gate.kind in (GateKind.RZ, GateKind.RZZ):
+    if gate.kind in _Z_KINDS:
         t *= c - 1j * s * sign
         return
     # -i*s times P's entry at (target, flipped target): 1 for an X word, the
     # product of -i*(-1)**b over the target's operand bits b for a Y word.
-    if gate.kind in (GateKind.RX, GateKind.RXX):
+    if gate.kind in _X_KINDS:
         factor = -1j * s
     elif gate.kind is GateKind.RY:
         factor = -s * sign
     else:
         factor = 1j * s * sign
-    np.multiply(t[flip], factor, out=buf.reshape(shape))
+    np.multiply(t[view], factor, out=buf.reshape(shape))
     state *= c
     state += buf
 
 
-def simulate(circuit: Circuit) -> np.ndarray:
-    """Statevector of the circuit applied to |0...0>, updated in place."""
-    state = zero_state(circuit.n)
+def simulate_support(circuit: Circuit) -> SupportState:
+    """The circuit applied to |0...0>, held on the span of its X/Y masks."""
+    basis = span_basis(circuit)
+    state = np.zeros(1 << len(basis), dtype=complex)
+    state[0] = 1.0
     buf = np.empty_like(state)
     for gate in circuit.gates:
-        _apply_in_place(state, buf, gate)
-    return state
+        _apply_in_place(state, buf, gate, basis)
+    return SupportState(circuit.n, basis, state)
 
 
-def sample(state: np.ndarray, shots: int, rng: np.random.Generator) -> SampledDistribution:
+def simulate(circuit: Circuit) -> np.ndarray:
+    """Dense statevector of the circuit applied to |0...0> (n <= MAX_DIMENSION)."""
+    _refuse_oversize(circuit.n, circuit.n)
+    return simulate_support(circuit).dense()
+
+
+def sample(
+    state: np.ndarray | SupportState, shots: int, rng: np.random.Generator
+) -> SampledDistribution:
     """Draw ``shots`` i.i.d. measurements; counts keyed by mask bitstring.
 
-    Inverts the unnormalised CDF of |amplitude|**2 at ``rng.random(shots)``
-    scaled by the total.  That consumes the same uniforms as
-    ``rng.choice(2**n, size=shots, p=probs)`` and, but for a uniform that
-    lands within rounding of a bin edge, draws the same outcomes.
+    Takes a dense statevector or a SupportState.  Inverts the unnormalised
+    CDF of |amplitude|**2 at ``rng.random(shots)`` scaled by the total.
+    That consumes the same uniforms as ``rng.choice(2**n, size=shots,
+    p=probs)`` and, but for a uniform that lands within rounding of a bin
+    edge, draws the same outcomes.  A SupportState's CDF is the dense one
+    with the exact zeros outside the span left out, so both forms of a
+    state draw the same outcomes.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    n = _qubit_count(state)
-    cdf = np.abs(state)
+    if not isinstance(state, SupportState):
+        n = _qubit_count(state)
+        state = SupportState(n, _unit_basis(n), state)
+    cdf = np.abs(state.amplitudes)
     np.square(cdf, out=cdf)
     np.cumsum(cdf, out=cdf)
     total = cdf[-1]
@@ -181,7 +338,10 @@ def sample(state: np.ndarray, shots: int, rng: np.random.Generator) -> SampledDi
     values, counts = np.unique(outcomes, return_counts=True)
     return SampledDistribution(
         shots=shots,
-        counts={index_to_mask(int(v), n): int(c) for v, c in zip(values, counts)},
+        counts={
+            index_to_mask(state.index(int(v)), state.n): int(c)
+            for v, c in zip(values, counts)
+        },
     )
 
 

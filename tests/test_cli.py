@@ -161,6 +161,24 @@ class TestRun:
         assert main(run_args(toy_csv, tmp_path / "runs")) == 1
         assert "ValueError: state has zero norm" in capsys.readouterr().err
 
+    def test_more_features_than_a_dense_state_holds(self, tmp_path):
+        # A dense state over 32 features would hold 2^32 amplitudes; each
+        # circuit is simulated on the span of its X/Y operand masks instead.
+        data = tmp_path / "wide.csv"
+        write_planted_csv(data, n=32, rows=120, informative=(0, 3, 7), seed=2)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out in (out_a, out_b):
+            assert main(run_args(data, out, generations="4", repeat="2")) == 0
+        for name in ("record-000.json", "record-001.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert read_run_record(out_a / "record-000.json").config["n"] == 32
+
+    def test_register_past_int64_indices_is_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        write_planted_csv(data, n=63, rows=40, informative=(0, 3, 7), seed=2)
+        assert main(run_args(data, tmp_path / "runs", repeat="1")) == 1
+        assert "62-qubit limit" in capsys.readouterr().err
+
     def test_external_without_command_is_usage_error(self, toy_csv, tmp_path):
         argv = run_args(toy_csv, tmp_path / "runs", evaluator="external")
         assert main(argv) == 2

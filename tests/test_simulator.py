@@ -1,22 +1,26 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfselect.errors import InvalidGateError, MaskError, OracleLimitError
+from qfselect.errors import InvalidGateError, MaskError, OracleLimitError, StateSizeError
 from qfselect.masks import index_to_mask, mask_to_index
 from qfselect.simulator import (
     Circuit,
     Gate,
     GateKind,
+    MAX_DIMENSION,
     TWO_QUBIT_KINDS,
     apply_gate,
     depth,
     quasi_probabilities,
     sample,
     simulate,
+    simulate_support,
+    span_basis,
     zero_state,
 )
 
@@ -29,6 +33,28 @@ def compose_dense(circuit: Circuit) -> np.ndarray:
     for gate in circuit.gates:
         full = dense_unitary(gate, circuit.n) @ full
     return full
+
+
+def gate_by_gate(circuit: Circuit) -> np.ndarray:
+    """The dense kernel: every gate applied to all 2**n amplitudes."""
+    state = zero_state(circuit.n)
+    for gate in circuit.gates:
+        state = apply_gate(state, gate)
+    return state
+
+
+def has_x_or_y_word(circuit: Circuit) -> bool:
+    return any(g.kind not in (GateKind.RZ, GateKind.RZZ) for g in circuit.gates)
+
+
+@st.composite
+def small_circuits(draw):
+    """Circuits over n <= 10 qubits whose gates act on the first ``width``
+    wires only, so the span of the X/Y masks ranges from empty to full."""
+    n = draw(st.integers(1, 10))
+    width = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return Circuit(n, random_circuit(rng, width, draw(st.integers(0, 14))).gates)
 
 
 class TestMasks:
@@ -139,6 +165,30 @@ class TestApplyGate:
             expected = dense_unitary(gate, n) @ state
             assert np.max(np.abs(apply_gate(state, gate) - expected)) <= 1e-10
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(list(GateKind)),
+        n=st.integers(min_value=1, max_value=6),
+        angle=st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_support_path_matches_dense_oracle_at_every_placement(self, kind, n, angle, seed):
+        # The gate runs on the coefficients over the span of the prefix's
+        # and its own X/Y masks, not on all 2**n amplitudes.
+        n = max(n, kind.n_qubits)
+        rng = np.random.default_rng(seed)
+        prefix = random_circuit(rng, n, int(rng.integers(0, 2 * n))).gates
+        if kind.n_qubits == 1:
+            placements = [(q,) for q in range(n)]
+        else:
+            placements = [(a, b) for a in range(n) for b in range(n) if a != b]
+        before = gate_by_gate(Circuit(n, prefix))
+        for qubits in placements:
+            gate = Gate(kind, qubits, angle)
+            expected = dense_unitary(gate, n) @ before
+            got = simulate_support(Circuit(n, prefix + (gate,))).dense()
+            assert np.max(np.abs(got - expected)) <= 1e-10
+
     def test_input_state_unchanged(self):
         state = zero_state(2)
         apply_gate(state, Gate(GateKind.RY, (0,), 1.0))
@@ -175,6 +225,118 @@ class TestSimulate:
             n = int(rng.integers(1, 11))
             circuit = random_circuit(rng, n, int(rng.integers(0, 51)))
             assert abs(np.linalg.norm(simulate(circuit)) - 1.0) <= 1e-10
+
+
+class TestSupport:
+    @settings(max_examples=150, deadline=None)
+    @given(circuit=small_circuits())
+    def test_scatters_to_the_dense_kernel_state(self, circuit):
+        support = simulate_support(circuit)
+        dense = gate_by_gate(circuit)
+        if has_x_or_y_word(circuit):
+            assert np.array_equal(support.dense(), dense)
+        else:
+            # Only |0...0> carries amplitude.  numpy multiplies a length-1
+            # array in its scalar loop and longer ones in its SIMD loop, so
+            # the phase may differ in the last bit.
+            assert len(support.amplitudes) == 1
+            assert np.array_equal(support.dense()[1:], dense[1:])
+            assert abs(support.amplitudes[0] - dense[0]) <= np.spacing(1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(circuit=small_circuits())
+    def test_support_lies_in_the_span_in_ascending_order(self, circuit):
+        support = simulate_support(circuit)
+        indices = support.indices()
+        assert len(indices) == len(support.amplitudes) == 2 ** len(support.basis)
+        assert np.all(np.diff(indices) > 0)
+        assert [support.index(k) for k in range(len(indices))] == indices.tolist()
+        assert set(np.flatnonzero(gate_by_gate(circuit))) <= set(indices.tolist())
+
+    @settings(max_examples=150, deadline=None)
+    @given(circuit=small_circuits())
+    def test_basis_is_reduced_echelon_and_spans_the_x_y_masks(self, circuit):
+        basis = span_basis(circuit)
+        leads = [v.bit_length() - 1 for v in basis]
+        assert leads == sorted(set(leads))
+        for v in basis:
+            assert [lead for lead in leads if v >> lead & 1] == [v.bit_length() - 1]
+        span = set(simulate_support(circuit).indices().tolist())
+        for gate in circuit.gates:
+            if gate.kind not in (GateKind.RZ, GateKind.RZZ):
+                assert sum(1 << q for q in gate.qubits) in span
+
+    @settings(max_examples=150, deadline=None)
+    @given(circuit=small_circuits(), seed=st.integers(0, 2**32 - 1))
+    def test_samples_what_the_dense_state_samples(self, circuit, seed):
+        dense = sample(gate_by_gate(circuit), 64, np.random.default_rng(seed))
+        compact = sample(simulate_support(circuit), 64, np.random.default_rng(seed))
+        # Same outcomes in the same order: the ledger scores masks as met.
+        assert list(compact.counts.items()) == list(dense.counts.items())
+
+    def test_draws_what_rng_choice_draws(self):
+        # The RNG-stream pin of TestSample, on a support narrower than 2**n.
+        for n in range(2, 11):
+            for seed in (0, 1, 2):
+                circuit = Circuit(
+                    n, random_circuit(np.random.default_rng(100 + n), n - 1, 2 * n).gates
+                )
+                support = simulate_support(circuit)
+                assert len(support.basis) < n
+                shots = 64 * n
+                probs = np.abs(gate_by_gate(circuit)) ** 2
+                drawn = np.random.default_rng(seed).choice(
+                    1 << n, size=shots, p=probs / probs.sum()
+                )
+                expected = Counter(index_to_mask(int(i), n) for i in drawn)
+                got = sample(support, shots, np.random.default_rng(seed)).counts
+                assert got == dict(expected)
+
+    def test_wide_register_runs_like_its_span(self):
+        # Qubits 0 and 39 of a 40-qubit register act as qubits 0 and 1 of two.
+        def circuit(n, far):
+            return Circuit(n, (
+                Gate(GateKind.RX, (far,), 0.4),
+                Gate(GateKind.RYY, (0, far), 1.1),
+                Gate(GateKind.RZZ, (far, 0), 0.7),
+            ))
+
+        wide, narrow = simulate_support(circuit(40, 39)), simulate(circuit(2, 1))
+        assert wide.basis == (1, 1 << 39)
+        assert np.array_equal(wide.amplitudes, narrow)
+        got = sample(wide, 64, np.random.default_rng(0)).counts
+        expected = sample(narrow, 64, np.random.default_rng(0)).counts
+        assert got == {m[0] + "0" * 38 + m[1]: c for m, c in expected.items()}
+
+
+class TestSizeCaps:
+    @staticmethod
+    def assert_refused_without_allocating(fn, circuit, match):
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSizeError, match=match):
+                fn(circuit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("fn", [simulate_support, simulate, span_basis])
+    def test_register_past_int64_indices(self, fn):
+        self.assert_refused_without_allocating(fn, Circuit(63), "62-qubit limit")
+
+    @pytest.mark.parametrize("fn", [simulate_support, simulate, span_basis])
+    def test_span_past_the_amplitude_cap(self, fn):
+        gates = tuple(Gate(GateKind.RX, (q,), 0.1) for q in range(30))
+        circuit = Circuit(40, gates)
+        self.assert_refused_without_allocating(fn, circuit, f"2\\^{MAX_DIMENSION}")
+
+    def test_dense_output_past_the_amplitude_cap(self):
+        circuit = Circuit(MAX_DIMENSION + 1, (Gate(GateKind.RX, (0,), 0.1),))
+        assert len(simulate_support(circuit).amplitudes) == 2
+        self.assert_refused_without_allocating(simulate, circuit, "exceeds the cap")
+        with pytest.raises(StateSizeError):
+            zero_state(MAX_DIMENSION + 1)
 
 
 class TestSample:

@@ -10,6 +10,7 @@ local models score every mask through one routine,
 
 from __future__ import annotations
 
+import math
 import os
 import select
 import shlex
@@ -39,14 +40,16 @@ class EvaluatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"evaluator kind must be one of {KINDS}, got {self.kind!r}")
-        if not self.C > 0:
-            raise ValueError(f"C must be positive, got {self.C}")
+        if not (math.isfinite(self.C) and self.C > 0):
+            raise ValueError(f"C must be positive and finite, got {self.C}")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
+            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.kind == "external" and not self.external_cmd:
             raise ValueError("external evaluator requires a command line")
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be positive and finite, got {self.timeout}")
 
 
 @dataclass(frozen=True)
@@ -97,11 +100,18 @@ def _train_ovr(
     keep = np.repeat(keep, classes.size, axis=0)
     weights = np.zeros((batch * classes.size, features.shape[1]))
     biases = np.zeros(batch * classes.size)
+    ones = np.ones(n_rows)
+    # `active` holds -1, 0 and +1 only, so `ones @ active` sums integers no
+    # larger than n_rows: exact in any summation order.  `targets * False`
+    # is -0.0 where the target is -1; a signed zero cannot reach the weights
+    # or biases, since w - (+-0) = w and neither array ever holds -0.0.
     for t in range(1, epochs + 1):
-        margins = targets * (features @ weights.T + biases)
-        active = np.where(margins < 1.0, targets, 0.0)
+        margins = features @ weights.T
+        margins += biases
+        margins *= targets
+        active = targets * (margins < 1.0)
         grad_w = C * weights - keep * (active.T @ features) / n_rows
-        grad_b = -active.sum(axis=0) / n_rows
+        grad_b = -(ones @ active) / n_rows
         lr = 1.0 / (C * t)
         weights -= lr * grad_w
         biases -= lr * grad_b

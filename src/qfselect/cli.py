@@ -238,17 +238,39 @@ def cmd_run(args) -> int:
 # Stands in for the digest of a record without a dataset block (as evolve()
 # writes it), so that such records never mix with CLI-written ones.
 _NO_DATASET = "(no dataset block)"
+# Likewise for a record without an evaluator block.
+_NO_EVALUATOR = "(no evaluator block)"
+
+
+def _block(record: RunRecord, name: str) -> dict | None:
+    """The record's `name` config block, or None if it has none."""
+    block = record.config.get(name)
+    if block is not None and not isinstance(block, dict):
+        raise RecordError(f"config.{name} is not a JSON object: {block!r}")
+    return block
+
+
+def _model(record: RunRecord) -> tuple | str:
+    """The evaluator settings that decide a record's accuracies."""
+    spec = _block(record, "evaluator")
+    if spec is None:
+        return _NO_EVALUATOR
+    return tuple(spec.get(key) for key in ("kind", "C", "epochs"))
 
 
 def _summarize(records: list[RunRecord]) -> dict:
     """Per-generation means over `records` and their mean totals.
 
-    Refuses records of different datasets, generation counts or shot
-    counts (seen as different predicted evaluation totals).
+    Refuses records of different datasets, models (evaluator kind, C or
+    epochs), generation counts or shot counts (seen as different predicted
+    evaluation totals).
     """
-    digests = {r.config.get("dataset", {}).get("digest", _NO_DATASET) for r in records}
+    digests = {(_block(r, "dataset") or {}).get("digest", _NO_DATASET) for r in records}
     if len(digests) > 1:
         raise RecordError(f"records mix different datasets: {sorted(digests)}")
+    models = {_model(r) for r in records}
+    if len(models) > 1:
+        raise RecordError(f"records mix different models: {sorted(map(str, models))}")
     lengths = {len(r.generations) for r in records}
     if len(lengths) > 1:
         raise RecordError(f"records disagree on generation count: {sorted(lengths)}")

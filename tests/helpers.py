@@ -1,5 +1,5 @@
 """Shared test helpers: random circuits over the full gate basis, the dense
-gate oracle, and planted-feature data."""
+gate oracle, the reference SVM kernel, and planted-feature data."""
 
 import math
 
@@ -64,6 +64,28 @@ def dense_unitary(gate: Gate, n: int) -> np.ndarray:
             i = base | ((k_out & 1) << qa) | (((k_out >> 1) & 1) << qb)
             full[i, j] = m[k_out, k_in]
     return full
+
+
+def reference_train_ovr(features, labels, C, epochs, keep):
+    """The one-vs-rest SVM kernel in its plain form, the bit-level reference
+    for `classifier._train_ovr`: one allocation per operation, the hinge
+    mask taken with np.where, and the bias gradient summed with .sum()."""
+    classes = np.unique(labels)
+    n_rows = features.shape[0]
+    batch = keep.shape[0]
+    targets = np.tile(np.where(labels[:, None] == classes[None, :], 1.0, -1.0), batch)
+    keep = np.repeat(keep, classes.size, axis=0)
+    weights = np.zeros((batch * classes.size, features.shape[1]))
+    biases = np.zeros(batch * classes.size)
+    for t in range(1, epochs + 1):
+        margins = targets * (features @ weights.T + biases)
+        active = np.where(margins < 1.0, targets, 0.0)
+        grad_w = C * weights - keep * (active.T @ features) / n_rows
+        grad_b = -active.sum(axis=0) / n_rows
+        lr = 1.0 / (C * t)
+        weights -= lr * grad_w
+        biases -= lr * grad_b
+    return classes, weights, biases
 
 
 def planted_rows(n, rows, informative, seed):

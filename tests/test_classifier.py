@@ -21,6 +21,8 @@ from qfselect.classifier import (
 from qfselect.dataset import SplitDataset, load_csv, stratified_split, wine_csv_path
 from qfselect.errors import DegenerateTrainingError, EvaluatorError, MaskError
 
+from helpers import planted_rows, reference_train_ovr
+
 STUB = str(Path(__file__).parent / "evaluator_stub.py")
 
 
@@ -83,6 +85,15 @@ class TestEvaluatorSpec:
             EvaluatorSpec(kind="external")
         with pytest.raises(ValueError, match="timeout"):
             EvaluatorSpec(timeout=0.0)
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="C"):
+                EvaluatorSpec(C=value)
+            with pytest.raises(ValueError, match="timeout"):
+                EvaluatorSpec(timeout=value)
+        for value in (2.5, 200.0, True):
+            with pytest.raises(ValueError, match="epochs"):
+                EvaluatorSpec(epochs=value)
+        assert EvaluatorSpec(epochs=np.int64(3)).epochs == 3
 
 
 class TestTrainLinearSvm:
@@ -228,6 +239,50 @@ def reference_accuracy(mask, data, kind):
         distances = ((test_x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         predictions = classes[np.argmin(distances, axis=1)]
     return float(np.mean(predictions == data.test_labels))
+
+
+def _two_class_split_with_a_constant_column():
+    features, labels = planted_rows(n=5, rows=40, informative=(0, 1, 2), seed=4)
+    features[:, 3] = 2.5
+    return make_split(features[:30], labels[:30], features[30:], labels[30:])
+
+
+def _kernel_inputs(data):
+    """Standardized training features and labels, as the evaluator fits them."""
+    return _standardized(data.train_features, data.train_mean, data.train_std), data.train_labels
+
+
+KERNEL_INPUTS = {
+    "wine": _kernel_inputs(WINE_SPLIT),
+    # The constant column standardizes to all zeros: the signed-zero path.
+    "two-class": _kernel_inputs(_two_class_split_with_a_constant_column()),
+}
+
+
+class TestTrainOvr:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        split=st.sampled_from(sorted(KERNEL_INPUTS)),
+        batch=st.integers(1, 64),
+        C=st.sampled_from([0.25, 1.0, 3.0]),
+        epochs=st.sampled_from([1, 2, 200]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_reference(self, split, batch, C, epochs, seed):
+        features, labels = KERNEL_INPUTS[split]
+        keep = np.random.default_rng(seed).random((batch, features.shape[1])) < 0.5
+        classes, weights, biases = classifier._train_ovr(features, labels, C, epochs, keep)
+        ref_classes, ref_weights, ref_biases = reference_train_ovr(
+            features, labels, C, epochs, keep
+        )
+        assert np.array_equal(classes, ref_classes)
+        assert weights.tobytes() == ref_weights.tobytes()
+        assert biases.tobytes() == ref_biases.tobytes()
+
+    def test_two_class_split_has_a_zero_column(self):
+        features, labels = KERNEL_INPUTS["two-class"]
+        assert np.unique(labels).size == 2
+        assert np.all(features[:, 3] == 0.0)
 
 
 class TestEvaluateMany:

@@ -296,6 +296,24 @@ class TestReport:
         )
         assert code == 1
 
+    def test_mixed_models_refused(self, toy_csv, tmp_path, capsys):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(run_args(toy_csv, out_a, repeat="1")) == 0
+        assert main(run_args(toy_csv, out_b, repeat="1", evaluator="linear-svm")) == 0
+        record_a, record_b = out_a / "record-000.json", out_b / "record-000.json"
+        capsys.readouterr()
+        assert main(["report", str(record_a), str(record_b)]) == 1
+        assert "mix different models" in capsys.readouterr().err
+        # The same kind with another C or epoch count is another model too.
+        raw = json.loads(record_b.read_text())
+        evaluator = raw["config"]["evaluator"]
+        for key, value in (("C", 2.0), ("epochs", 50)):
+            config = {**raw["config"], "evaluator": {**evaluator, key: value}}
+            record_c = tmp_path / f"changed-{key}.json"
+            record_c.write_text(json.dumps({**raw, "config": config}), encoding="utf-8")
+            assert main(["report", str(record_b), str(record_c)]) == 1
+            assert "mix different models" in capsys.readouterr().err
+
     def test_corrupt_record_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
@@ -357,6 +375,14 @@ class TestReport:
         bad.write_text("[]", encoding="utf-8")
         assert main(["report", str(bad)]) == 1
         assert "JSON object" in capsys.readouterr().err
+
+    def test_config_block_not_an_object_rejected(self, library_records, capsys):
+        raw = json.loads(library_records[0].read_text())
+        for name in ("dataset", "evaluator"):
+            changed = {**raw, "config": {**raw["config"], name: 7}}
+            library_records[0].write_text(json.dumps(changed), encoding="utf-8")
+            assert main(["report", str(library_records[0])]) == 1
+            assert f"config.{name} is not a JSON object" in capsys.readouterr().err
 
     def test_generations_not_a_list_rejected(self, library_records, capsys):
         raw = json.loads(library_records[0].read_text())

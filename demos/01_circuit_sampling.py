@@ -42,7 +42,10 @@ def main() -> None:
     print(f"circuit on {circuit.n} qubits, {len(circuit.gates)} gates, "
           f"depth {depth(circuit)} (parallel gates share a layer)")
 
-    state = simulate(circuit)
+    # The simulator holds only the amplitudes its gates can reach; dense()
+    # scatters them into all 2**n.
+    support = simulate(circuit)
+    state = support.dense()
     print(f"statevector norm: {np.linalg.norm(state):.12f}")
 
     exact = {
@@ -59,7 +62,7 @@ def main() -> None:
     # shots the histogram is a rough sketch; with 4096 it hugs the exact
     # probabilities.
     for shots in (64, 4096):
-        dist = sample(state, shots=shots, rng=np.random.default_rng(rng.integers(2**32)))
+        dist = sample(support, shots=shots, rng=np.random.default_rng(rng.integers(2**32)))
         freqs = quasi_probabilities(dist)
         worst = max(abs(freqs.get(mask, 0.0) - exact[mask]) for mask in exact)
         print(f"\n{shots} shots -> {len(freqs)} distinct masks, "
@@ -68,8 +71,7 @@ def main() -> None:
             print(f"  {mask}  {freqs[mask]:.4f}")
 
     print("\nthe empty circuit is the all-off mask with certainty:")
-    empty_state = simulate(Circuit(n=3, gates=()))
-    dist = sample(empty_state, shots=16, rng=np.random.default_rng(0))
+    dist = sample(simulate(Circuit(n=3, gates=())), shots=16, rng=np.random.default_rng(0))
     print(f"  {quasi_probabilities(dist)}")
 
 

@@ -65,13 +65,10 @@ from .simulator import (
     GateKind,
     SampledDistribution,
     SupportState,
-    apply_gate,
     depth,
     quasi_probabilities,
     sample,
     simulate,
-    simulate_support,
-    zero_state,
 )
 
 __version__ = "0.1.0"
@@ -84,13 +81,10 @@ __all__ = [
     "GateKind",
     "SampledDistribution",
     "SupportState",
-    "apply_gate",
     "depth",
     "quasi_probabilities",
     "sample",
     "simulate",
-    "simulate_support",
-    "zero_state",
     # feature masks
     "index_to_mask",
     "mask_to_index",

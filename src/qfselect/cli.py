@@ -194,7 +194,10 @@ def cmd_run(args) -> int:
     }
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise RecordError(f"cannot create output directory {out_dir}: {err.strerror}") from None
 
     started = time.perf_counter()
     records: list[RunRecord] = []
@@ -336,6 +339,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_report(args) -> int:
     records = [read_run_record(path) for path in args.records]
+    for path, record in zip(args.records, records):
+        for key in ("predicted_evaluations", "empirical_auc", "cache_size"):
+            value = record.totals.get(key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise RecordError(f"{path}: totals.{key} must be a number, got {value!r}")
     summary = _summarize(records)
     cumulative = np.cumsum(
         [[e.new_evaluations for e in r.generations] for r in records], axis=1

@@ -94,7 +94,9 @@ def load_csv(path: str | Path, label: str | int) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, which would join the first
+    # header name.
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
     if not rows:
         raise DatasetError(f"empty file: {path}")

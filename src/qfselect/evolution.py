@@ -25,8 +25,7 @@ from .simulator import (
     depth,
     quasi_probabilities,
     sample,
-    # evolve samples the support form; the benchmark's tracer wraps this name.
-    simulate_support as simulate,
+    simulate,
 )
 
 MUTATION_KINDS = ("insert", "modify", "delete", "swap")
@@ -71,6 +70,10 @@ class EvolutionConfig:
     mutation: MutationConfig = field(default_factory=MutationConfig)
 
     def __post_init__(self) -> None:
+        for name in ("n", "mu", "lambda_", "generations", "shots", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         for name in ("mu", "lambda_", "generations", "shots"):

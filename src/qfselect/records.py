@@ -119,7 +119,10 @@ def write_json(value, path: str | Path) -> None:
         data = dumps_canonical(value).encode("utf-8")
     except UnicodeEncodeError as err:
         raise RecordError(f"cannot write {path} as UTF-8: {err}") from None
-    Path(path).write_bytes(data)
+    try:
+        Path(path).write_bytes(data)
+    except OSError as err:
+        raise RecordError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _load_json(path: str | Path):
@@ -132,11 +135,23 @@ def _load_json(path: str | Path):
         raise RecordError(f"corrupt record {path}: {err}") from None
 
 
+# The JSON type each field annotation takes; a bool is neither integer
+# nor number.
+_JSON_TYPES = {
+    "dict": ("an object", dict),
+    "list": ("an array", list),
+    "str": ("a string", str),
+    "int": ("an integer", int),
+    "float": ("a number", (int, float)),
+}
+
+
 def _from_dict(cls, raw, **nested):
     """Build dataclass `cls` from a JSON object that holds every field.
 
-    `nested` maps a field name to the function that builds its value from
-    the raw one.  A `format_version` field must equal FORMAT_VERSION.
+    Each value must have the JSON type of its field's annotation.  `nested`
+    maps a field name to the function that builds its value from the raw
+    one.  A `format_version` field must equal FORMAT_VERSION.
     """
     if not isinstance(raw, dict):
         raise RecordError(f"{cls.__name__} must be a JSON object, got {type(raw).__name__}")
@@ -149,14 +164,19 @@ def _from_dict(cls, raw, **nested):
     missing = [name for name in names if name not in raw]
     if missing:
         raise RecordError(f"{cls.__name__} missing field(s) {', '.join(missing)}")
+    for f in fields(cls):
+        kind, types = _JSON_TYPES[f.type.partition("[")[0]]
+        value = raw[f.name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise RecordError(f"{cls.__name__}.{f.name} must be {kind}, got {value!r:.40}")
     values = {name: raw[name] for name in names}
     values.update((name, build(values[name])) for name, build in nested.items())
     return cls(**values)
 
 
 def _generation_entries(raw) -> list[GenerationEntry]:
-    if not isinstance(raw, list) or not raw:
-        raise RecordError(f"generations must be a non-empty JSON array, got {raw!r:.40}")
+    if not raw:
+        raise RecordError("generations must be a non-empty JSON array")
     return [_from_dict(GenerationEntry, entry) for entry in raw]
 
 

@@ -1,9 +1,9 @@
-"""Exact statevector simulation for circuits of rotation gates.
+"""Exact simulation of circuits of rotation gates on the support of their state.
 
 Conventions:
-- A dense state over n qubits is a complex ndarray of 2**n amplitudes.
-  Basis index j encodes bit i as ``(j >> i) & 1`` (little-endian); bit i
-  is feature i, and bitstrings render x_0 leftmost (see masks.py).
+- A state over n qubits has 2**n amplitudes.  Basis index j encodes bit i
+  as ``(j >> i) & 1`` (little-endian); bit i is feature i, and bitstrings
+  render x_0 leftmost (see masks.py).
 - All gates follow the exp(-i*theta*P/2) convention, P a Pauli word, so
   every gate is c*I - i*s*P with c = cos(theta/2), s = sin(theta/2).  A Z
   word phases each amplitude by the parity of its operand bits.  An X or
@@ -15,9 +15,9 @@ Conventions:
 The support of a circuit's state: it starts at |0...0>, Z words only
 change phases, and an X or Y word with operand mask m mixes index j with
 j ^ m.  So every nonzero amplitude lies in the GF(2) span of the
-circuit's X/Y operand masks, of dimension d <= n.  ``simulate_support``
-holds only those 2**d amplitudes (a ``SupportState``), over a reduced
-echelon basis of the span.  Three facts make one kernel serve every d:
+circuit's X/Y operand masks, of dimension d <= n.  ``simulate`` holds
+only those 2**d amplitudes (a ``SupportState``), over a reduced echelon
+basis of the span.  Three facts make one kernel serve every d:
 - position k holds index(k) = XOR of basis[i] over the set bits i of k,
   and that map is strictly increasing, so the CDF of |amplitude|**2 over
   positions is the dense CDF without its zeros;
@@ -26,15 +26,13 @@ echelon basis of the span.  Three facts make one kernel serve every d:
   k ^ coordinates(m): a reversed-axis view, as on a dense state;
 - the parity of index(k) & m is the parity of k & T, where bit i of T is
   the parity of basis[i] & m.
-At d = n the basis is the unit vectors and the kernel is the dense one;
-``apply_gate`` runs it so on a copy of a dense state.  ``simulate`` runs
-the support kernel and scatters the result into 2**n amplitudes.
+At d = n the basis is the unit vectors and the kernel is the dense one.
+``SupportState.dense()`` scatters the amplitudes into a 2**n vector.
 
 Sizes: n is at most MAX_QUBITS = 62 (indices are int64), and no state
 array holds more than 2**MAX_DIMENSION = 2**24 amplitudes (256 MiB).  A
 circuit past either cap raises StateSizeError before anything of that
-size is allocated; dense output (``simulate``, ``zero_state``) is capped
-at n <= 24 accordingly.
+size is allocated; ``dense()`` is capped at n <= 24 accordingly.
 
 The gate basis is six rotations: RX, RY, RZ on one qubit and RXX, RYY,
 RZZ on two.  All three two-qubit rotations are symmetric under operand
@@ -113,7 +111,10 @@ class Circuit:
         if self.n < 1:
             raise InvalidGateError(f"need at least one qubit, got n={self.n}")
         for gate in self.gates:
-            _check_gate(gate, self.n)
+            if any(q >= self.n for q in gate.qubits):
+                raise InvalidGateError(
+                    f"gate {gate.kind.value} on {gate.qubits} exceeds n={self.n}"
+                )
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,6 @@ class SampledDistribution:
 
     shots: int
     counts: dict[str, int]
-
-
-def _check_gate(gate: Gate, n: int) -> None:
-    if any(q >= n for q in gate.qubits):
-        raise InvalidGateError(f"gate {gate.kind.value} on {gate.qubits} exceeds n={n}")
 
 
 def _refuse_oversize(n: int, dimension: int) -> None:
@@ -140,13 +136,6 @@ def _refuse_oversize(n: int, dimension: int) -> None:
             f"a state of 2^{dimension} amplitudes exceeds the cap of "
             f"2^{MAX_DIMENSION} (n={n})"
         )
-
-
-def zero_state(n: int) -> np.ndarray:
-    _refuse_oversize(n, n)
-    state = np.zeros(1 << n, dtype=complex)
-    state[0] = 1.0
-    return state
 
 
 @dataclass(frozen=True)
@@ -217,10 +206,6 @@ def span_basis(circuit: Circuit) -> tuple[int, ...]:
     return tuple(sorted(basis))
 
 
-def _unit_basis(n: int) -> tuple[int, ...]:
-    return tuple(1 << q for q in range(n))
-
-
 _KEEP = slice(None)
 _FLIP = slice(None, None, -1)
 _ONE = np.ones(1)
@@ -243,15 +228,6 @@ def _layout(flips: int, signs: int) -> tuple[tuple, tuple, np.ndarray]:
         view += [_FLIP if flips >> bit & 1 else _KEEP, _KEEP]
         sign = np.multiply.outer(sign, _PLUS_MINUS if signs >> bit & 1 else _ONE)[..., None]
     return tuple(shape), tuple(view), sign
-
-
-def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate to a copy of ``state``; the input is left unchanged."""
-    n = _qubit_count(state)
-    _check_gate(gate, n)
-    out = state.astype(complex, copy=True)
-    _apply_in_place(out, np.empty_like(out), gate, _unit_basis(n))
-    return out
 
 
 def _apply_in_place(
@@ -293,7 +269,7 @@ def _apply_in_place(
     state += buf
 
 
-def simulate_support(circuit: Circuit) -> SupportState:
+def simulate(circuit: Circuit) -> SupportState:
     """The circuit applied to |0...0>, held on the span of its X/Y masks."""
     basis = span_basis(circuit)
     state = np.zeros(1 << len(basis), dtype=complex)
@@ -304,30 +280,18 @@ def simulate_support(circuit: Circuit) -> SupportState:
     return SupportState(circuit.n, basis, state)
 
 
-def simulate(circuit: Circuit) -> np.ndarray:
-    """Dense statevector of the circuit applied to |0...0> (n <= MAX_DIMENSION)."""
-    _refuse_oversize(circuit.n, circuit.n)
-    return simulate_support(circuit).dense()
-
-
-def sample(
-    state: np.ndarray | SupportState, shots: int, rng: np.random.Generator
-) -> SampledDistribution:
+def sample(state: SupportState, shots: int, rng: np.random.Generator) -> SampledDistribution:
     """Draw ``shots`` i.i.d. measurements; counts keyed by mask bitstring.
 
-    Takes a dense statevector or a SupportState.  Inverts the unnormalised
-    CDF of |amplitude|**2 at ``rng.random(shots)`` scaled by the total.
-    That consumes the same uniforms as ``rng.choice(2**n, size=shots,
-    p=probs)`` and, but for a uniform that lands within rounding of a bin
-    edge, draws the same outcomes.  A SupportState's CDF is the dense one
-    with the exact zeros outside the span left out, so both forms of a
-    state draw the same outcomes.
+    Inverts the unnormalised CDF of |amplitude|**2 at ``rng.random(shots)``
+    scaled by the total.  The CDF over positions is the dense one with the
+    exact zeros outside the span left out, so this consumes the same
+    uniforms as ``rng.choice(2**n, size=shots, p=probs)`` on the dense
+    probabilities and, but for a uniform that lands within rounding of a
+    bin edge, draws the same outcomes.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if not isinstance(state, SupportState):
-        n = _qubit_count(state)
-        state = SupportState(n, _unit_basis(n), state)
     cdf = np.abs(state.amplitudes)
     np.square(cdf, out=cdf)
     np.cumsum(cdf, out=cdf)
@@ -360,10 +324,3 @@ def depth(circuit: Circuit) -> int:
             layer[q] = slot
         top = max(top, slot)
     return top
-
-
-def _qubit_count(state: np.ndarray) -> int:
-    n = int(np.log2(len(state)))
-    if (1 << n) != len(state):
-        raise ValueError(f"state length {len(state)} is not a power of two")
-    return n

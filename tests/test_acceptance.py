@@ -15,7 +15,7 @@ from qfselect.cli import main
 from qfselect.dataset import Dataset, load_csv, stratified_split, wine_csv_path
 from qfselect.evolution import EvolutionConfig, evolve
 from qfselect.masks import index_to_mask
-from qfselect.simulator import simulate, zero_state
+from qfselect.simulator import simulate
 
 from helpers import dense_unitary, planted_rows, random_circuit
 
@@ -101,8 +101,8 @@ def test_01_simulator_matches_dense_oracle():
     worst = 0.0
     for _ in range(200):
         circuit = random_circuit(rng, n=3, n_gates=int(rng.integers(0, 13)))
-        fast = simulate(circuit)
-        dense = compose_dense(circuit) @ zero_state(3)
+        fast = simulate(circuit).dense()
+        dense = compose_dense(circuit)[:, 0]
         worst = max(worst, float(np.abs(fast - dense).max()))
     elapsed = time.perf_counter() - started
     verdict(
@@ -118,7 +118,7 @@ def test_02_unitarity_at_ten_qubits():
     worst = 0.0
     for _ in range(100):
         circuit = random_circuit(rng, n=10, n_gates=int(rng.integers(0, 51)))
-        norm = float(np.linalg.norm(simulate(circuit)))
+        norm = float(np.linalg.norm(simulate(circuit).amplitudes))
         worst = max(worst, abs(norm - 1.0))
     elapsed = time.perf_counter() - started
     verdict(

@@ -179,6 +179,14 @@ class TestRun:
         assert main(run_args(data, tmp_path / "runs", repeat="1")) == 1
         assert "62-qubit limit" in capsys.readouterr().err
 
+    def test_out_path_that_is_a_file_is_runtime_error(self, toy_csv, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        assert main(run_args(toy_csv, out, repeat="1")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {out}")
+        assert "Traceback" not in err
+
     def test_external_without_command_is_usage_error(self, toy_csv, tmp_path):
         argv = run_args(toy_csv, tmp_path / "runs", evaluator="external")
         assert main(argv) == 2
@@ -237,6 +245,19 @@ class TestOracle:
         assert main(planted_argv) == 1
         assert "mask 000" in capsys.readouterr().err
         assert not os.path.exists(planted_argv[-1])
+
+    def test_out_in_a_missing_directory_is_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "planted.csv"
+        write_planted_csv(data, n=2, rows=40, informative=(0,), seed=1)
+        out = tmp_path / "missing" / "dir" / "o.json"
+        argv = [
+            "oracle", "--data", str(data), "--label", "label",
+            "--evaluator", "nearest-centroid", "--out", str(out),
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}")
+        assert "Traceback" not in err
 
     def test_too_many_features_refused(self, tmp_path):
         n = 21
@@ -391,3 +412,23 @@ class TestReport:
             library_records[0].write_text(json.dumps(raw), encoding="utf-8")
             assert main(["report", str(library_records[0])]) == 1
             assert "generations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda raw: raw.update(config=[]),
+            lambda raw: raw.update(totals={}),
+            lambda raw: raw.update(totals=[]),
+            lambda raw: raw["generations"][0].update(best_accuracy="0.5"),
+            lambda raw: raw.update(final_distribution=5),
+        ],
+        ids=["config-array", "totals-empty", "totals-array", "accuracy-string", "distribution-number"],
+    )
+    def test_structurally_wrong_record_is_an_error_line(self, library_records, change, capsys):
+        raw = json.loads(library_records[0].read_text())
+        change(raw)
+        library_records[0].write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["report", str(library_records[0])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

@@ -52,6 +52,13 @@ class TestLoadCsv:
         assert data.feature_names == ("f0", "f1")
         np.testing.assert_array_equal(data.features, [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfclass,f0\na,1.0\nb,2.0\n")
+        data = load_csv(path, "class")
+        assert data.feature_names == ("f0",)
+        assert data.label_names == ("a", "b")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="no such file"):
             load_csv(tmp_path / "absent.csv", "label")

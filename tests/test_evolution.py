@@ -119,7 +119,7 @@ class TestMutate:
         child = mutate(parent, np.random.default_rng(5), only_swap)
         assert child.gates[0].qubits == (2, 0)
         np.testing.assert_allclose(
-            simulate(child), simulate(parent), atol=1e-10
+            simulate(child).dense(), simulate(parent).dense(), atol=1e-10
         )
 
     def test_single_qubit_system_only_draws_single_qubit_gates(self):
@@ -305,3 +305,19 @@ class TestEvolve:
             EvolutionConfig(n=3, generations=0)
         with pytest.raises(ValueError):
             EvolutionConfig(n=3, seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 3.0),
+            ("mu", True),
+            ("lambda_", 6.0),
+            ("generations", 2.0),
+            ("shots", 8.5),
+            ("seed", 1.5),
+            ("seed", False),
+        ],
+    )
+    def test_config_refuses_non_integer_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EvolutionConfig(**{"n": 3, field: value})

@@ -1,3 +1,9 @@
+"""Simulator tests.  ``simulate`` returns the state on the span of a
+circuit's X/Y masks; the references it is checked against are independent
+of that kernel: the multiplied-out dense unitaries of ``tests/helpers.py``
+(n <= 6), and the same circuit run over all 2**n amplitudes after an
+identity RX on every wire."""
+
 import math
 import tracemalloc
 from collections import Counter
@@ -14,14 +20,12 @@ from qfselect.simulator import (
     GateKind,
     MAX_DIMENSION,
     TWO_QUBIT_KINDS,
-    apply_gate,
+    SupportState,
     depth,
     quasi_probabilities,
     sample,
     simulate,
-    simulate_support,
     span_basis,
-    zero_state,
 )
 
 from helpers import dense_unitary, gate_matrix, random_circuit, random_gate
@@ -35,12 +39,18 @@ def compose_dense(circuit: Circuit) -> np.ndarray:
     return full
 
 
-def gate_by_gate(circuit: Circuit) -> np.ndarray:
-    """The dense kernel: every gate applied to all 2**n amplitudes."""
-    state = zero_state(circuit.n)
-    for gate in circuit.gates:
-        state = apply_gate(state, gate)
-    return state
+def spanning_every_wire(circuit: Circuit) -> Circuit:
+    """The same circuit after RX(q, 0.0) on every wire.  Its span holds every
+    unit vector (d = n), so ``.amplitudes`` is the whole 2**n state, and the
+    identity prefix changes no amplitude."""
+    prefix = tuple(Gate(GateKind.RX, (q,), 0.0) for q in range(circuit.n))
+    return Circuit(circuit.n, prefix + circuit.gates)
+
+
+def full_support(amplitudes) -> SupportState:
+    """A hand-made state over all 2**n basis indices."""
+    n = len(amplitudes).bit_length() - 1
+    return SupportState(n, tuple(1 << q for q in range(n)), np.asarray(amplitudes))
 
 
 def has_x_or_y_word(circuit: Circuit) -> bool:
@@ -122,48 +132,25 @@ class TestGateMatrices:
 
 class TestApplyGate:
     def test_rx_pi_flips_qubit(self):
-        state = apply_gate(zero_state(1), Gate(GateKind.RX, (0,), math.pi))
+        state = simulate(Circuit(1, (Gate(GateKind.RX, (0,), math.pi),))).dense()
         assert np.allclose(state, [0.0, -1j], atol=1e-12)
 
     def test_rzz_phases_00(self):
         theta = 0.7
-        state = apply_gate(zero_state(2), Gate(GateKind.RZZ, (0, 1), theta))
+        state = simulate(Circuit(2, (Gate(GateKind.RZZ, (0, 1), theta),))).dense()
         expected = np.array([np.exp(-1j * theta / 2), 0, 0, 0])
         assert np.allclose(state, expected, atol=1e-12)
 
     def test_ryy_matches_dense_oracle(self):
-        rng = np.random.default_rng(7)
-        raw = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = raw / np.linalg.norm(raw)
-        gate = Gate(GateKind.RYY, (0, 2), 0.37)
-        expected = dense_unitary(gate, 3) @ state
-        assert np.max(np.abs(apply_gate(state, gate) - expected)) <= 1e-10
+        # A Y word on distant wires, after a prefix that spreads the state.
+        prefix = random_circuit(np.random.default_rng(7), 3, 8).gates
+        circuit = Circuit(3, prefix + (Gate(GateKind.RYY, (0, 2), 0.37),))
+        expected = compose_dense(circuit)[:, 0]
+        assert np.max(np.abs(simulate(circuit).dense() - expected)) <= 1e-10
 
     def test_out_of_range_qubit(self):
-        with pytest.raises(InvalidGateError):
-            apply_gate(zero_state(2), Gate(GateKind.RX, (2,), 0.1))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        kind=st.sampled_from(list(GateKind)),
-        n=st.integers(min_value=1, max_value=6),
-        angle=st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_dense_oracle_at_every_placement(self, kind, n, angle, seed):
-        # Every operand placement: wires 0 and n-1, adjacent and distant
-        # pairs, both operand orders.
-        n = max(n, kind.n_qubits)
-        rng = np.random.default_rng(seed)
-        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        if kind.n_qubits == 1:
-            placements = [(q,) for q in range(n)]
-        else:
-            placements = [(a, b) for a in range(n) for b in range(n) if a != b]
-        for qubits in placements:
-            gate = Gate(kind, qubits, angle)
-            expected = dense_unitary(gate, n) @ state
-            assert np.max(np.abs(apply_gate(state, gate) - expected)) <= 1e-10
+        with pytest.raises(InvalidGateError, match="exceeds n=2"):
+            Circuit(2, (Gate(GateKind.RX, (2,), 0.1),))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -174,7 +161,9 @@ class TestApplyGate:
     )
     def test_support_path_matches_dense_oracle_at_every_placement(self, kind, n, angle, seed):
         # The gate runs on the coefficients over the span of the prefix's
-        # and its own X/Y masks, not on all 2**n amplitudes.
+        # and its own X/Y masks, not on all 2**n amplitudes.  Every operand
+        # placement: wires 0 and n-1, adjacent and distant pairs, both
+        # operand orders.
         n = max(n, kind.n_qubits)
         rng = np.random.default_rng(seed)
         prefix = random_circuit(rng, n, int(rng.integers(0, 2 * n))).gates
@@ -182,57 +171,51 @@ class TestApplyGate:
             placements = [(q,) for q in range(n)]
         else:
             placements = [(a, b) for a in range(n) for b in range(n) if a != b]
-        before = gate_by_gate(Circuit(n, prefix))
+        before = compose_dense(Circuit(n, prefix))[:, 0]
         for qubits in placements:
             gate = Gate(kind, qubits, angle)
             expected = dense_unitary(gate, n) @ before
-            got = simulate_support(Circuit(n, prefix + (gate,))).dense()
+            got = simulate(Circuit(n, prefix + (gate,))).dense()
             assert np.max(np.abs(got - expected)) <= 1e-10
-
-    def test_input_state_unchanged(self):
-        state = zero_state(2)
-        apply_gate(state, Gate(GateKind.RY, (0,), 1.0))
-        assert state[0] == 1.0
 
 
 class TestSimulate:
     def test_empty_circuit(self):
-        assert np.allclose(simulate(Circuit(2)), [1, 0, 0, 0])
+        assert np.allclose(simulate(Circuit(2)).dense(), [1, 0, 0, 0])
 
     def test_rx_pi_on_qubit_1(self):
         circuit = Circuit(2, (Gate(GateKind.RX, (1,), math.pi),))
-        state = simulate(circuit)
-        probs = np.abs(state) ** 2
+        probs = np.abs(simulate(circuit).dense()) ** 2
         assert probs[2] == pytest.approx(1.0, abs=1e-12)
         assert index_to_mask(2, 2) == "01"
 
     def test_five_random_gates_match_composed_oracle(self):
         rng = np.random.default_rng(11)
         circuit = random_circuit(rng, 3, 5)
-        expected = compose_dense(circuit) @ zero_state(3)
-        assert np.max(np.abs(simulate(circuit) - expected)) <= 1e-10
+        expected = compose_dense(circuit)[:, 0]
+        assert np.max(np.abs(simulate(circuit).dense() - expected)) <= 1e-10
 
     def test_oracle_equivalence_sweep(self):
         rng = np.random.default_rng(2024)
         for _ in range(50):
             circuit = random_circuit(rng, 3, int(rng.integers(0, 13)))
-            expected = compose_dense(circuit) @ zero_state(3)
-            assert np.max(np.abs(simulate(circuit) - expected)) <= 1e-10
+            expected = compose_dense(circuit)[:, 0]
+            assert np.max(np.abs(simulate(circuit).dense() - expected)) <= 1e-10
 
     def test_unitarity_random_circuits(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             n = int(rng.integers(1, 11))
             circuit = random_circuit(rng, n, int(rng.integers(0, 51)))
-            assert abs(np.linalg.norm(simulate(circuit)) - 1.0) <= 1e-10
+            assert abs(np.linalg.norm(simulate(circuit).amplitudes) - 1.0) <= 1e-10
 
 
 class TestSupport:
     @settings(max_examples=150, deadline=None)
     @given(circuit=small_circuits())
     def test_scatters_to_the_dense_kernel_state(self, circuit):
-        support = simulate_support(circuit)
-        dense = gate_by_gate(circuit)
+        support = simulate(circuit)
+        dense = simulate(spanning_every_wire(circuit)).amplitudes
         if has_x_or_y_word(circuit):
             assert np.array_equal(support.dense(), dense)
         else:
@@ -246,12 +229,13 @@ class TestSupport:
     @settings(max_examples=150, deadline=None)
     @given(circuit=small_circuits())
     def test_support_lies_in_the_span_in_ascending_order(self, circuit):
-        support = simulate_support(circuit)
+        support = simulate(circuit)
         indices = support.indices()
         assert len(indices) == len(support.amplitudes) == 2 ** len(support.basis)
         assert np.all(np.diff(indices) > 0)
         assert [support.index(k) for k in range(len(indices))] == indices.tolist()
-        assert set(np.flatnonzero(gate_by_gate(circuit))) <= set(indices.tolist())
+        dense = simulate(spanning_every_wire(circuit)).amplitudes
+        assert set(np.flatnonzero(dense)) <= set(indices.tolist())
 
     @settings(max_examples=150, deadline=None)
     @given(circuit=small_circuits())
@@ -261,7 +245,7 @@ class TestSupport:
         assert leads == sorted(set(leads))
         for v in basis:
             assert [lead for lead in leads if v >> lead & 1] == [v.bit_length() - 1]
-        span = set(simulate_support(circuit).indices().tolist())
+        span = set(simulate(circuit).indices().tolist())
         for gate in circuit.gates:
             if gate.kind not in (GateKind.RZ, GateKind.RZZ):
                 assert sum(1 << q for q in gate.qubits) in span
@@ -269,8 +253,8 @@ class TestSupport:
     @settings(max_examples=150, deadline=None)
     @given(circuit=small_circuits(), seed=st.integers(0, 2**32 - 1))
     def test_samples_what_the_dense_state_samples(self, circuit, seed):
-        dense = sample(gate_by_gate(circuit), 64, np.random.default_rng(seed))
-        compact = sample(simulate_support(circuit), 64, np.random.default_rng(seed))
+        dense = sample(simulate(spanning_every_wire(circuit)), 64, np.random.default_rng(seed))
+        compact = sample(simulate(circuit), 64, np.random.default_rng(seed))
         # Same outcomes in the same order: the ledger scores masks as met.
         assert list(compact.counts.items()) == list(dense.counts.items())
 
@@ -281,10 +265,10 @@ class TestSupport:
                 circuit = Circuit(
                     n, random_circuit(np.random.default_rng(100 + n), n - 1, 2 * n).gates
                 )
-                support = simulate_support(circuit)
+                support = simulate(circuit)
                 assert len(support.basis) < n
                 shots = 64 * n
-                probs = np.abs(gate_by_gate(circuit)) ** 2
+                probs = np.abs(support.dense()) ** 2
                 drawn = np.random.default_rng(seed).choice(
                     1 << n, size=shots, p=probs / probs.sum()
                 )
@@ -301,9 +285,9 @@ class TestSupport:
                 Gate(GateKind.RZZ, (far, 0), 0.7),
             ))
 
-        wide, narrow = simulate_support(circuit(40, 39)), simulate(circuit(2, 1))
+        wide, narrow = simulate(circuit(40, 39)), simulate(circuit(2, 1))
         assert wide.basis == (1, 1 << 39)
-        assert np.array_equal(wide.amplitudes, narrow)
+        assert np.array_equal(wide.amplitudes, narrow.amplitudes)
         got = sample(wide, 64, np.random.default_rng(0)).counts
         expected = sample(narrow, 64, np.random.default_rng(0)).counts
         assert got == {m[0] + "0" * 38 + m[1]: c for m, c in expected.items()}
@@ -321,11 +305,11 @@ class TestSizeCaps:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("fn", [simulate_support, simulate, span_basis])
+    @pytest.mark.parametrize("fn", [simulate, span_basis])
     def test_register_past_int64_indices(self, fn):
         self.assert_refused_without_allocating(fn, Circuit(63), "62-qubit limit")
 
-    @pytest.mark.parametrize("fn", [simulate_support, simulate, span_basis])
+    @pytest.mark.parametrize("fn", [simulate, span_basis])
     def test_span_past_the_amplitude_cap(self, fn):
         gates = tuple(Gate(GateKind.RX, (q,), 0.1) for q in range(30))
         circuit = Circuit(40, gates)
@@ -333,15 +317,16 @@ class TestSizeCaps:
 
     def test_dense_output_past_the_amplitude_cap(self):
         circuit = Circuit(MAX_DIMENSION + 1, (Gate(GateKind.RX, (0,), 0.1),))
-        assert len(simulate_support(circuit).amplitudes) == 2
-        self.assert_refused_without_allocating(simulate, circuit, "exceeds the cap")
-        with pytest.raises(StateSizeError):
-            zero_state(MAX_DIMENSION + 1)
+        support = simulate(circuit)
+        assert len(support.amplitudes) == 2
+        self.assert_refused_without_allocating(
+            lambda _: support.dense(), circuit, "exceeds the cap"
+        )
 
 
 class TestSample:
     def test_delta_distribution(self):
-        dist = sample(zero_state(3), 64, np.random.default_rng(0))
+        dist = sample(simulate(Circuit(3)), 64, np.random.default_rng(0))
         assert dist.counts == {"000": 64}
         assert dist.shots == 64
 
@@ -362,7 +347,7 @@ class TestSample:
     def test_total_variation_at_1e5_shots(self):
         rng = np.random.default_rng(77)
         state = simulate(random_circuit(rng, 3, 9))
-        probs = np.abs(state) ** 2
+        probs = np.abs(state.dense()) ** 2
         dist = sample(state, 100_000, rng)
         empirical = np.zeros(8)
         for mask, count in dist.counts.items():
@@ -376,7 +361,7 @@ class TestSample:
             for seed in (0, 1, 2):
                 state = simulate(random_circuit(np.random.default_rng(100 + n), n, 3 * n))
                 shots = 64 * n
-                probs = np.abs(state) ** 2
+                probs = np.abs(state.dense()) ** 2
                 drawn = np.random.default_rng(seed).choice(
                     1 << n, size=shots, p=probs / probs.sum()
                 )
@@ -389,13 +374,13 @@ class TestSample:
             def random(self, size):
                 return np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])[:size]
 
-        state = np.array([0.0, 0.0, 1.0, 0.0])
+        state = full_support(np.array([0.0, 0.0, 1.0, 0.0]))
         assert sample(state, 3, FixedUniforms()).counts == {"01": 3}
 
     def test_unnormalised_state_samples_like_normalised(self):
         state = simulate(random_circuit(np.random.default_rng(8), 5, 15))
         a = sample(state, 500, np.random.default_rng(4)).counts
-        b = sample(3.0 * state, 500, np.random.default_rng(4)).counts
+        b = sample(SupportState(state.n, state.basis, 3.0 * state.amplitudes), 500, np.random.default_rng(4)).counts
         assert a == b
 
     @pytest.mark.parametrize(
@@ -405,11 +390,11 @@ class TestSample:
     )
     def test_refuses_zero_or_non_finite_norm(self, state):
         with pytest.raises(ValueError, match="finite and nonzero"):
-            sample(state, 8, np.random.default_rng(0))
+            sample(full_support(state), 8, np.random.default_rng(0))
 
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
-            sample(zero_state(1), 0, np.random.default_rng(0))
+            sample(simulate(Circuit(1)), 0, np.random.default_rng(0))
 
 
 class TestQuasiProbabilities:

@@ -50,6 +50,7 @@ from .objective import (
     predicted_total_evaluations,
 )
 from .records import (
+    DistributionRow,
     GenerationEntry,
     OracleRecord,
     RunRecord,
@@ -115,6 +116,7 @@ __all__ = [
     "mutate",
     "select",
     # run records
+    "DistributionRow",
     "GenerationEntry",
     "OracleRecord",
     "RunRecord",

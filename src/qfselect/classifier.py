@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import SplitDataset
 from .errors import DegenerateTrainingError, EvaluatorError
-from .masks import validate_mask
+from .masks import mask_columns
 
 KINDS = ("linear-svm", "nearest-centroid", "external")
 
@@ -280,11 +280,7 @@ class _LocalEvaluator:
 
     def evaluate_many(self, masks: list[str]) -> list[float]:
         """Accuracies of `masks`, in order."""
-        for mask in masks:
-            validate_mask(mask, self.data.n_features)
-        keep = np.array(
-            [[ch == "1" for ch in mask] for mask in masks], dtype=bool
-        ).reshape(len(masks), self.data.n_features)
+        keep = mask_columns(masks, self.data.n_features)
         accuracies = np.full(len(masks), _majority_accuracy(self.data))
         fitted = np.flatnonzero(keep.any(axis=1))
         if self.spec.kind == "nearest-centroid":

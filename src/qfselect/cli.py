@@ -261,6 +261,21 @@ def _model(record: RunRecord) -> tuple | str:
     return tuple(spec.get(key) for key in ("kind", "C", "epochs"))
 
 
+def _shared(values: list, refusal: str):
+    """The one value in `values`; RecordError "records <refusal>" if they differ.
+
+    Compares by equality alone, so a record's JSON values need not be
+    hashable or of one type.
+    """
+    distinct: list = []
+    for value in values:
+        if value not in distinct:
+            distinct.append(value)
+    if len(distinct) > 1:
+        raise RecordError(f"records {refusal}: {sorted(distinct, key=str)}")
+    return distinct[0]
+
+
 def _summarize(records: list[RunRecord]) -> dict:
     """Per-generation means over `records` and their mean totals.
 
@@ -268,25 +283,23 @@ def _summarize(records: list[RunRecord]) -> dict:
     epochs), generation counts or shot counts (seen as different predicted
     evaluation totals).
     """
-    digests = {(_block(r, "dataset") or {}).get("digest", _NO_DATASET) for r in records}
-    if len(digests) > 1:
-        raise RecordError(f"records mix different datasets: {sorted(digests)}")
-    models = {_model(r) for r in records}
-    if len(models) > 1:
-        raise RecordError(f"records mix different models: {sorted(map(str, models))}")
-    lengths = {len(r.generations) for r in records}
-    if len(lengths) > 1:
-        raise RecordError(f"records disagree on generation count: {sorted(lengths)}")
-    predicted = {r.totals["predicted_evaluations"] for r in records}
-    if len(predicted) > 1:
-        raise RecordError(f"records disagree on predicted evaluations: {sorted(predicted)}")
+    digest = _shared(
+        [(_block(r, "dataset") or {}).get("digest", _NO_DATASET) for r in records],
+        "mix different datasets",
+    )
+    _shared([_model(r) for r in records], "mix different models")
+    _shared([len(r.generations) for r in records], "disagree on generation count")
+    predicted = _shared(
+        [r.totals["predicted_evaluations"] for r in records],
+        "disagree on predicted evaluations",
+    )
 
     def per_generation(name: str) -> np.ndarray:
         return np.array([[getattr(e, name) for e in r.generations] for r in records])
 
     best_accuracy = per_generation("best_accuracy")
     return {
-        "dataset_digest": digests.pop(),
+        "dataset_digest": digest,
         "mean_best_accuracy": best_accuracy.mean(axis=0).tolist(),
         "std_best_accuracy": best_accuracy.std(axis=0).tolist(),
         "mean_best_fitness": per_generation("best_fitness").mean(axis=0).tolist(),
@@ -294,7 +307,7 @@ def _summarize(records: list[RunRecord]) -> dict:
         "mean_empirical_auc": float(
             np.mean([r.totals["empirical_auc"] for r in records])
         ),
-        "predicted_evaluations": records[0].totals["predicted_evaluations"],
+        "predicted_evaluations": predicted,
     }
 
 
@@ -344,6 +357,11 @@ def cmd_report(args) -> int:
             value = record.totals.get(key)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise RecordError(f"{path}: totals.{key} must be a number, got {value!r}")
+        predicted = record.totals["predicted_evaluations"]
+        if not predicted > 0:
+            raise RecordError(
+                f"{path}: totals.predicted_evaluations must be positive, got {predicted!r}"
+            )
     summary = _summarize(records)
     cumulative = np.cumsum(
         [[e.new_evaluations for e in r.generations] for r in records], axis=1
@@ -371,7 +389,7 @@ def cmd_report(args) -> int:
     print(f"# final distribution ({Path(args.records[best_index]).name})")
     print("mask,probability,accuracy")
     for row in chosen.final_distribution:
-        print(f"{row['mask']},{row['probability']!r},{row['accuracy']!r}")
+        print(f"{row.mask},{row.probability!r},{row.accuracy!r}")
 
     predicted = summary["predicted_evaluations"]
     mean_auc = summary["mean_empirical_auc"]

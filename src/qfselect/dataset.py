@@ -96,8 +96,13 @@ def load_csv(path: str | Path, label: str | int) -> Dataset:
         raise DatasetError(f"no such file: {path}")
     # utf-8-sig drops a leading byte-order mark, which would join the first
     # header name.
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError as err:
+        raise DatasetError(f"{path} is not UTF-8 text: {err.reason}") from None
+    except OSError as err:
+        raise DatasetError(f"cannot read {path}: {err.strerror}") from None
     if not rows:
         raise DatasetError(f"empty file: {path}")
 

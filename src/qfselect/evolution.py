@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .objective import EvaluationLedger, Evaluator, empirical_auc, fitness, predicted_total_evaluations
-from .records import GenerationEntry, RunRecord
+from .records import DistributionRow, GenerationEntry, RunRecord
 from .simulator import (
     Circuit,
     Gate,
@@ -199,7 +199,7 @@ def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
 
     cache = ledger.cache
     final = [
-        {"mask": mask, "probability": prob, "accuracy": cache[mask]}
+        DistributionRow(mask, prob, cache[mask])
         for mask, prob in sorted(
             quasi_probabilities(parents[0].distribution).items(),
             key=lambda item: (-item[1], item[0]),

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import FitnessError, InsufficientDataError
+from .errors import EvaluatorError, FitnessError, InsufficientDataError
 from .simulator import SampledDistribution, quasi_probabilities
 
 Evaluator = Callable[[str], float]
@@ -49,6 +49,8 @@ class EvaluationLedger:
         A mask whose evaluation fails or leaves [0, 1] raises FitnessError
         and is not cached; when ``evaluate_many`` raises, the misses are
         scored again one call at a time so that the error names its mask.
+        An ``evaluate_many`` result of another length than the batch raises
+        EvaluatorError.
         """
         masks = list(masks)
         misses = [mask for mask in dict.fromkeys(masks) if mask not in self._cache]
@@ -58,6 +60,10 @@ class EvaluationLedger:
                 values = list(evaluator.evaluate_many(misses))
             except Exception:
                 pass  # scored one call per mask below
+        if values is not None and len(values) != len(misses):
+            raise EvaluatorError(
+                f"evaluate_many returned {len(values)} result(s) for {len(misses)} mask(s)"
+            )
         for i, mask in enumerate(misses):
             try:
                 value = float(evaluator(mask) if values is None else values[i])

@@ -36,13 +36,22 @@ class GenerationEntry:
 
 
 @dataclass(frozen=True)
+class DistributionRow:
+    """One mask of the final parent's sampled distribution."""
+
+    mask: str
+    probability: float
+    accuracy: float
+
+
+@dataclass(frozen=True)
 class RunRecord:
     """Everything one evolutionary run produced, ready to serialize."""
 
     format_version: int = field(default=FORMAT_VERSION, kw_only=True)
     config: dict
     generations: list[GenerationEntry]
-    final_distribution: list[dict]  # {"mask", "probability", "accuracy"}
+    final_distribution: list[DistributionRow]
     totals: dict
 
 
@@ -185,7 +194,12 @@ def write_run_record(record: RunRecord, path: str | Path) -> None:
 
 
 def read_run_record(path: str | Path) -> RunRecord:
-    return _from_dict(RunRecord, _load_json(path), generations=_generation_entries)
+    return _from_dict(
+        RunRecord,
+        _load_json(path),
+        generations=_generation_entries,
+        final_distribution=lambda raw: [_from_dict(DistributionRow, row) for row in raw],
+    )
 
 
 def write_oracle_record(record: OracleRecord, path: str | Path) -> None:

@@ -152,29 +152,18 @@ class SupportState:
     basis: tuple[int, ...]
     amplitudes: np.ndarray
 
-    def index(self, k: int) -> int:
-        """The basis index held at position ``k``."""
-        index = 0
-        for vector in self.basis:
-            if not k:
-                break
-            if k & 1:
-                index ^= vector
-            k >>= 1
-        return index
-
-    def indices(self) -> np.ndarray:
-        """``index(k)`` for every position k, ascending."""
-        indices = np.zeros(1, dtype=np.int64)
-        for vector in self.basis:
-            indices = np.concatenate((indices, indices ^ vector))
+    def index(self, positions: np.ndarray) -> np.ndarray:
+        """The basis index held at each of ``positions``."""
+        indices = np.zeros_like(positions, dtype=np.int64)
+        for i, vector in enumerate(self.basis):
+            indices ^= (positions >> i & 1) * vector
         return indices
 
     def dense(self) -> np.ndarray:
         """The full 2**n statevector, zero outside the span."""
         _refuse_oversize(self.n, self.n)
         state = np.zeros(1 << self.n, dtype=complex)
-        state[self.indices()] = self.amplitudes
+        state[self.index(np.arange(len(self.amplitudes)))] = self.amplitudes
         return state
 
 
@@ -303,8 +292,8 @@ def sample(state: SupportState, shots: int, rng: np.random.Generator) -> Sampled
     return SampledDistribution(
         shots=shots,
         counts={
-            index_to_mask(state.index(int(v)), state.n): int(c)
-            for v, c in zip(values, counts)
+            index_to_mask(index, state.n): count
+            for index, count in zip(state.index(values).tolist(), counts.tolist())
         },
     )
 

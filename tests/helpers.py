@@ -1,5 +1,6 @@
-"""Shared test helpers: random circuits over the full gate basis, the dense
-gate oracle, the reference SVM kernel, and planted-feature data."""
+"""Shared test helpers: per-bit references for the mask codec and support
+positions, random circuits over the full gate basis, the dense gate oracle,
+the reference SVM kernel, and planted-feature data."""
 
 import math
 
@@ -19,6 +20,24 @@ _PAULI = {
     GateKind.RYY: np.kron(_Y, _Y),
     GateKind.RZZ: np.kron(_Z, _Z),
 }
+
+
+# Strings that int(..., 2) takes but that are not masks.
+NOT_BITSTRINGS = ("1_0", " 10", "10\n", "\u06610", "+1")
+
+
+def reference_mask(index: int, n: int) -> str:
+    """Bit i of `index` as character i, one bit at a time."""
+    return "".join("1" if (index >> i) & 1 else "0" for i in range(n))
+
+
+def reference_index(basis: tuple[int, ...], position: int) -> int:
+    """XOR of basis[i] over the set bits i of `position`, one bit at a time."""
+    index = 0
+    for i, vector in enumerate(basis):
+        if position >> i & 1:
+            index ^= vector
+    return index
 
 
 def random_gate(rng: np.random.Generator, n: int) -> Gate:

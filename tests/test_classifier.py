@@ -21,7 +21,7 @@ from qfselect.classifier import (
 from qfselect.dataset import SplitDataset, load_csv, stratified_split, wine_csv_path
 from qfselect.errors import DegenerateTrainingError, EvaluatorError, MaskError
 
-from helpers import planted_rows, reference_train_ovr
+from helpers import NOT_BITSTRINGS, planted_rows, reference_train_ovr
 
 STUB = str(Path(__file__).parent / "evaluator_stub.py")
 
@@ -315,6 +315,12 @@ class TestEvaluateMany:
             ev.evaluate_many(["11", "111"])
         with pytest.raises(MaskError):
             ev.evaluate_many(["1x"])
+
+    @pytest.mark.parametrize("text", NOT_BITSTRINGS)
+    def test_rejects_what_base_2_parsing_accepts(self, text):
+        ev = make_evaluator(EvaluatorSpec(kind="nearest-centroid"), two_blob_split())
+        with pytest.raises(MaskError, match="not a bitstring"):
+            ev.evaluate_many(["11", text])
 
 
 class TestExternalEvaluator:

@@ -1,11 +1,14 @@
 """End-to-end CLI tests: flags, exit codes, artifacts, reports."""
 
+import contextlib
+import io
 import json
 import os
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfselect import cli
 from qfselect.cli import main
@@ -246,6 +249,14 @@ class TestOracle:
         assert "mask 000" in capsys.readouterr().err
         assert not os.path.exists(planted_argv[-1])
 
+    def test_csv_that_is_not_utf8_is_an_error_line(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"label,f\xe9\na,1.0\nb,2.0\na,1.5\nb,2.5\n")
+        assert main(["oracle", "--data", str(data), "--out", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data} is not UTF-8")
+        assert "Traceback" not in err
+
     def test_out_in_a_missing_directory_is_runtime_error(self, tmp_path, capsys):
         data = tmp_path / "planted.csv"
         write_planted_csv(data, n=2, rows=40, informative=(0,), seed=1)
@@ -413,6 +424,21 @@ class TestReport:
             assert main(["report", str(library_records[0])]) == 1
             assert "generations" in capsys.readouterr().err
 
+    def test_config_values_of_any_json_type_are_compared(self, library_records, capsys):
+        raw = json.loads(library_records[0].read_text())
+        changes = [
+            {"evaluator": {"kind": [], "C": {}}},  # not hashable
+            {"dataset": {"digest": 0}},  # not sortable beside a string
+        ]
+        for change in changes:
+            library_records[1].write_text(
+                json.dumps({**raw, "config": {**raw["config"], **change}}), encoding="utf-8"
+            )
+            assert main(["report", str(library_records[1])]) == 0
+            capsys.readouterr()
+            assert main(["report", str(library_records[0]), str(library_records[1])]) == 1
+            assert capsys.readouterr().err.startswith("error: records mix different")
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -421,8 +447,22 @@ class TestReport:
             lambda raw: raw.update(totals=[]),
             lambda raw: raw["generations"][0].update(best_accuracy="0.5"),
             lambda raw: raw.update(final_distribution=5),
+            lambda raw: raw["final_distribution"].__setitem__(0, [5]),
+            lambda raw: raw["final_distribution"][0].pop("accuracy"),
+            lambda raw: raw["totals"].update(predicted_evaluations=0.0),
+            lambda raw: raw["totals"].update(predicted_evaluations=-12),
         ],
-        ids=["config-array", "totals-empty", "totals-array", "accuracy-string", "distribution-number"],
+        ids=[
+            "config-array",
+            "totals-empty",
+            "totals-array",
+            "accuracy-string",
+            "distribution-number",
+            "distribution-row-array",
+            "distribution-row-without-accuracy",
+            "predicted-zero",
+            "predicted-negative",
+        ],
     )
     def test_structurally_wrong_record_is_an_error_line(self, library_records, change, capsys):
         raw = json.loads(library_records[0].read_text())
@@ -432,3 +472,62 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def cli_record(toy_csv, tmp_path_factory):
+    """A record written by `qfselect run`, so it has every config block."""
+    out = tmp_path_factory.mktemp("pristine")
+    assert main(run_args(toy_csv, out, repeat="1", generations="3")) == 0
+    return out / "record-000.json"
+
+
+def json_paths(value, path=()):
+    """The path of every value inside a JSON value, the root's `()` included."""
+    yield path
+    if isinstance(value, (dict, list)):
+        keys = value.keys() if isinstance(value, dict) else range(len(value))
+        for key in keys:
+            yield from json_paths(value[key], path + (key,))
+
+
+# One value of each JSON type, the two kinds of number apart.
+JSON_EXAMPLES = (None, True, 7, 0.5, "x", [], {})
+
+
+class TestReportRobustness:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_change_to_a_record_never_tracebacks(self, cli_record, data):
+        raw = json.loads(cli_record.read_text(encoding="utf-8"))
+        path = data.draw(st.sampled_from(list(json_paths(raw))))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        value = parent[path[-1]] if path else raw
+        changes = ["retype"]
+        if path and isinstance(parent, dict):
+            changes.append("drop")
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            changes.append("zero")
+        change = data.draw(st.sampled_from(changes))
+        if change == "drop":
+            del parent[path[-1]]
+        else:
+            others = [v for v in JSON_EXAMPLES if type(v) is not type(value)]
+            new = 0 if change == "zero" else data.draw(st.sampled_from(others))
+            if path:
+                parent[path[-1]] = new
+            else:
+                raw = new
+        changed = cli_record.with_name("changed.json")
+        changed.write_text(json.dumps(raw), encoding="utf-8")
+        paths = [changed] + ([cli_record] if data.draw(st.booleans()) else [])
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["report"] + [str(p) for p in paths])
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("error: ")

@@ -1,9 +1,12 @@
 """Loader, stratified split, and column-mask tests."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfselect.dataset import (
     Dataset,
@@ -62,6 +65,40 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="no such file"):
             load_csv(tmp_path / "absent.csv", "label")
+
+    def test_bytes_that_are_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"label,f\xe9\na,1.0\nb,2.0\n")
+        with pytest.raises(DatasetError, match="latin1.csv is not UTF-8"):
+            load_csv(path, "label")
+
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(DatasetError, match="cannot read"):
+            load_csv(tmp_path, "label")
+
+    # Arbitrary bytes, and bytes built from CSV-ish pieces so that some get
+    # past the header and decoding checks.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        content=st.binary(max_size=64)
+        | st.lists(
+            st.sampled_from(
+                [b"a", b"0", b"1.5", b"-2e3", b"nan", b",", b"\n", b"\r", b'"',
+                 b" ", b"\x00", b"\xe9", b"\xef\xbb\xbf", b"\xc3\xa9", b"\xd9\xa1"]
+            ),
+            max_size=40,
+        ).map(b"".join)
+    )
+    def test_any_bytes_load_or_raise_dataset_error(self, content):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "data.csv"
+            path.write_bytes(content)
+            try:
+                data = load_csv(path, "0")
+            except DatasetError:
+                return
+        assert isinstance(data, Dataset)
+        assert data.features.shape == (data.n_rows, len(data.feature_names))
 
     def test_nan_cell_rejected(self, tmp_path):
         path = write(tmp_path, "label,f0\na,NaN\nb,1.0\n")

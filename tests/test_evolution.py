@@ -241,11 +241,11 @@ class TestEvolve:
     def test_final_distribution_consistent(self):
         config = EvolutionConfig(n=4, generations=6, shots=32, seed=2)
         record = evolve(config, ones_fraction)
-        probs = [row["probability"] for row in record.final_distribution]
+        probs = [row.probability for row in record.final_distribution]
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
         assert probs == sorted(probs, reverse=True)
         for row in record.final_distribution:
-            assert row["accuracy"] == ones_fraction(row["mask"])
+            assert row.accuracy == ones_fraction(row.mask)
 
     def test_mu_two_keeps_two_parents(self):
         config = EvolutionConfig(n=3, mu=2, lambda_=4, generations=4, shots=16, seed=3)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qfselect.errors import FitnessError, InsufficientDataError
+from qfselect.errors import EvaluatorError, FitnessError, InsufficientDataError
 from qfselect.objective import (
     EvaluationLedger,
     empirical_auc,
@@ -159,6 +159,17 @@ class TestLedger:
             ledger.score(["11", "00"], Batched({"11": 0.5, "00": 1.5}))
         assert exc.value.mask == "00"
         assert "00" not in ledger.cache
+
+    @pytest.mark.parametrize("returned", [[0.5], [0.5, 0.25, 0.75]])
+    def test_batch_result_of_the_wrong_length_is_refused(self, returned):
+        class WrongLength(CountingEvaluator):
+            def evaluate_many(self, masks):
+                return returned
+
+        ledger = EvaluationLedger()
+        with pytest.raises(EvaluatorError, match=f"{len(returned)} result.* for 2 mask"):
+            ledger.score(["10", "01"], WrongLength({"10": 0.5, "01": 0.25}))
+        assert ledger.size == 0
 
 
 class TestEvaluationCounts:

@@ -13,6 +13,7 @@ from qfselect.errors import RecordError
 from qfselect.evolution import EvolutionConfig, evolve
 from qfselect.records import (
     FORMAT_VERSION,
+    DistributionRow,
     GenerationEntry,
     OracleRecord,
     RunRecord,
@@ -46,11 +47,14 @@ generation_entries = st.builds(
     best_accuracy=finite,
     parent_depth=st.integers(0, 100),
 )
+distribution_rows = st.builds(
+    DistributionRow, mask=masks, probability=finite, accuracy=finite
+)
 run_records = st.builds(
     RunRecord,
     config=json_object,
     generations=st.lists(generation_entries, min_size=1, max_size=3),
-    final_distribution=st.lists(json_object, max_size=3),
+    final_distribution=st.lists(distribution_rows, max_size=3),
     totals=json_object,
 )
 oracle_records = st.builds(
@@ -80,8 +84,8 @@ def sample_record():
         config=EvolutionConfig(n=4, generations=2, shots=8, seed=9).to_dict(),
         generations=entries,
         final_distribution=[
-            {"mask": "0101", "probability": 0.75, "accuracy": 0.27},
-            {"mask": "0001", "probability": 0.25, "accuracy": 0.17},
+            DistributionRow("0101", 0.75, 0.27),
+            DistributionRow("0001", 0.25, 0.17),
         ],
         totals={"cache_size": 3, "empirical_auc": 4.0, "predicted_evaluations": 8.0},
     )

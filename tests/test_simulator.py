@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfselect.errors import InvalidGateError, MaskError, OracleLimitError, StateSizeError
-from qfselect.masks import index_to_mask, mask_to_index
+from qfselect.masks import index_to_mask, mask_columns, mask_to_index, validate_mask
 from qfselect.simulator import (
     Circuit,
     Gate,
@@ -28,7 +28,15 @@ from qfselect.simulator import (
     span_basis,
 )
 
-from helpers import dense_unitary, gate_matrix, random_circuit, random_gate
+from helpers import (
+    NOT_BITSTRINGS,
+    dense_unitary,
+    gate_matrix,
+    random_circuit,
+    random_gate,
+    reference_index,
+    reference_mask,
+)
 
 
 def compose_dense(circuit: Circuit) -> np.ndarray:
@@ -86,11 +94,33 @@ class TestMasks:
         other = data.draw(st.text(alphabet="01", min_size=n, max_size=n))
         assert index_to_mask(mask_to_index(other), n) == other
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 62))
+    def test_codec_matches_the_per_bit_reference(self, data, n):
+        indices = data.draw(st.lists(st.integers(0, 2**n - 1), max_size=5))
+        masks = [reference_mask(index, n) for index in indices]
+        assert [index_to_mask(index, n) for index in indices] == masks
+        assert [mask_to_index(mask) for mask in masks] == indices
+        keep = mask_columns(masks, n)
+        assert keep.shape == (len(masks), n) and keep.dtype == bool
+        assert keep.tolist() == [[ch == "1" for ch in mask] for mask in masks]
+
     def test_rejects_garbage(self):
         with pytest.raises(MaskError):
             mask_to_index("10x")
         with pytest.raises(MaskError):
             index_to_mask(8, 3)
+        with pytest.raises(MaskError):
+            index_to_mask(0, 0)
+
+    @pytest.mark.parametrize("text", NOT_BITSTRINGS)
+    def test_rejects_what_base_2_parsing_accepts(self, text):
+        with pytest.raises(MaskError):
+            validate_mask(text)
+        with pytest.raises(MaskError):
+            mask_to_index(text)
+        with pytest.raises(MaskError):
+            mask_columns([text], len(text))
 
 
 class TestGateMatrices:
@@ -230,12 +260,30 @@ class TestSupport:
     @given(circuit=small_circuits())
     def test_support_lies_in_the_span_in_ascending_order(self, circuit):
         support = simulate(circuit)
-        indices = support.indices()
-        assert len(indices) == len(support.amplitudes) == 2 ** len(support.basis)
+        assert len(support.amplitudes) == 2 ** len(support.basis)
+        positions = np.arange(len(support.amplitudes))
+        indices = support.index(positions)
+        assert indices.dtype == np.int64
+        assert indices.tolist() == [reference_index(support.basis, k) for k in positions]
         assert np.all(np.diff(indices) > 0)
-        assert [support.index(k) for k in range(len(indices))] == indices.tolist()
         dense = simulate(spanning_every_wire(circuit)).amplitudes
         assert set(np.flatnonzero(dense)) <= set(indices.tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 62))
+    def test_index_matches_the_per_bit_reference_at_any_width(self, data, n):
+        # Any ascending reduced echelon basis: distinct leads, each clear in
+        # every other vector.
+        leads = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=min(n, 10))))
+        basis = []
+        for lead in leads:
+            low = data.draw(st.integers(0, 2**lead - 1)) & ~sum(1 << b for b in leads)
+            basis.append(1 << lead | low)
+        support = SupportState(n, tuple(basis), np.zeros(1 << len(basis), dtype=complex))
+        positions = np.arange(1 << len(basis))
+        indices = support.index(positions)
+        assert indices.tolist() == [reference_index(support.basis, k) for k in positions]
+        assert np.all(np.diff(indices) > 0)
 
     @settings(max_examples=150, deadline=None)
     @given(circuit=small_circuits())
@@ -245,7 +293,8 @@ class TestSupport:
         assert leads == sorted(set(leads))
         for v in basis:
             assert [lead for lead in leads if v >> lead & 1] == [v.bit_length() - 1]
-        span = set(simulate(circuit).indices().tolist())
+        support = simulate(circuit)
+        span = set(support.index(np.arange(len(support.amplitudes))).tolist())
         for gate in circuit.gates:
             if gate.kind not in (GateKind.RZ, GateKind.RZZ):
                 assert sum(1 << q for q in gate.qubits) in span

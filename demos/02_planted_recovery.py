@@ -65,7 +65,7 @@ def main() -> None:
     final = record.generations[-1]
     print(f"\nevolved accuracy {final.best_accuracy:.4f} vs exhaustive "
           f"{best_accuracy:.4f}")
-    print(f"masks actually evaluated: {record.totals['cache_size']} "
+    print(f"masks actually evaluated: {record.totals.cache_size} "
           f"of {2**N_FEATURES}")
     picked = [i for i, bit in enumerate(final.best_mask) if bit == "1"]
     print(f"selected features {picked} "

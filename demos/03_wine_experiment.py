@@ -47,11 +47,11 @@ def main() -> None:
         )
         last = record.generations[-1]
         finals.append(last.best_accuracy)
-        aucs.append(record.totals["empirical_auc"])
+        aucs.append(record.totals.empirical_auc)
         depths.append(last.parent_depth)
         marker = " <- beats baseline" if last.best_accuracy > baseline else ""
         print(f"{BASE_SEED + i:>4}  {last.best_accuracy:>8.4f}  "
-              f"{last.parent_depth:>5}  {record.totals['cache_size']:>11}  "
+              f"{last.parent_depth:>5}  {record.totals.cache_size:>11}  "
               f"{last.best_mask}{marker}")
 
     wins = sum(acc > baseline for acc in finals)

@@ -9,10 +9,8 @@ circuits.  See README.md for the full tour.
 from .classifier import (
     EvaluatorSpec,
     ExternalEvaluator,
-    LinearSvmModel,
     evaluate,
     make_evaluator,
-    train_linear_svm,
 )
 from .dataset import (
     Dataset,
@@ -54,6 +52,7 @@ from .records import (
     GenerationEntry,
     OracleRecord,
     RunRecord,
+    RunTotals,
     dumps_canonical,
     read_oracle_record,
     read_run_record,
@@ -99,10 +98,8 @@ __all__ = [
     # mask scoring
     "EvaluatorSpec",
     "ExternalEvaluator",
-    "LinearSvmModel",
     "evaluate",
     "make_evaluator",
-    "train_linear_svm",
     # objective bookkeeping
     "EvaluationLedger",
     "empirical_auc",
@@ -120,6 +117,7 @@ __all__ = [
     "GenerationEntry",
     "OracleRecord",
     "RunRecord",
+    "RunTotals",
     "dumps_canonical",
     "read_oracle_record",
     "read_run_record",

@@ -52,22 +52,6 @@ class EvaluatorSpec:
             raise ValueError(f"timeout must be positive and finite, got {self.timeout}")
 
 
-@dataclass(frozen=True)
-class LinearSvmModel:
-    """One weight vector and bias per class, one-vs-rest."""
-
-    classes: np.ndarray
-    weights: np.ndarray  # (n_classes, n_features)
-    biases: np.ndarray  # (n_classes,)
-
-    def decision_scores(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weights.T + self.biases
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        # argmax takes the first maximum, so ties go to the lowest class.
-        return self.classes[np.argmax(self.decision_scores(features), axis=1)]
-
-
 # Masks trained together in one batched SVM fit; bounds its score matrices
 # at (train rows) x (BATCH_MASKS * classes).
 BATCH_MASKS = 64
@@ -81,6 +65,9 @@ def _train_ovr(
     keep: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Train one one-vs-rest linear SVM per row of `keep` in a single loop.
+
+    Full-batch subgradient descent on (C/2)||w||^2 + mean hinge loss, at
+    learning rate 1/(C*t) in epoch t.
 
     `keep` is (B, n_features) of 0/1: model b sees only the columns row b
     keeps.  Weights start at zero and a dropped column's gradient is
@@ -116,24 +103,6 @@ def _train_ovr(
         weights -= lr * grad_w
         biases -= lr * grad_b
     return classes, weights, biases
-
-
-def train_linear_svm(
-    features: np.ndarray, labels: np.ndarray, C: float = 1.0, epochs: int = 200
-) -> LinearSvmModel:
-    """Full-batch subgradient descent on (C/2)||w||^2 + mean hinge loss.
-
-    Zero initialization, learning rate 1/(C*t) at epoch t; one-vs-rest over
-    the classes present in `labels`.  Entirely deterministic.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if features.ndim != 2 or features.shape[1] < 1:
-        raise ValueError("need at least one feature column")
-    classes, weights, biases = _train_ovr(
-        features, labels, C, epochs, np.ones((1, features.shape[1]))
-    )
-    return LinearSvmModel(classes=classes, weights=weights, biases=biases)
 
 
 def _standardized(rows: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Command-line front end: run experiments, brute-force oracles, reports.
 
 Exit codes: 0 on success, 2 for usage errors, 1 for every other failure
-(bad data, evaluator trouble, corrupt records).  Argparse refuses most bad
-flags; a flag combination that the mutation or evaluator config refuses
-is a usage error too, found before any file is read.
+(bad data, evaluator trouble, corrupt records).  Argparse refuses a flag
+it cannot parse; `MutationConfig` and `EvaluatorSpec` are the checks for
+their flags' values, and they run before any file is read, so a value
+they refuse is a usage error too.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import math
 import sys
 import time
 import traceback
@@ -55,20 +55,6 @@ def _fraction(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
-    return value
-
-
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 
@@ -122,13 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="independent runs with seeds seed, seed+1, ... (default: 1)",
     )
-    run.add_argument("--p-insert", type=_probability, default=0.5)
-    run.add_argument("--p-modify", type=_probability, default=0.3)
-    run.add_argument("--p-delete", type=_probability, default=0.1)
-    run.add_argument("--p-swap", type=_probability, default=0.1)
+    run.add_argument("--p-insert", type=float, default=0.5)
+    run.add_argument("--p-modify", type=float, default=0.3)
+    run.add_argument("--p-delete", type=float, default=0.1)
+    run.add_argument("--p-swap", type=float, default=0.1)
     run.add_argument(
         "--sigma",
-        type=_positive_float,
+        type=float,
         default=MutationConfig().sigma_modify,
         help="stddev of the angle-modify step in radians (default: pi/10)",
     )
@@ -290,7 +276,7 @@ def _summarize(records: list[RunRecord]) -> dict:
     _shared([_model(r) for r in records], "mix different models")
     _shared([len(r.generations) for r in records], "disagree on generation count")
     predicted = _shared(
-        [r.totals["predicted_evaluations"] for r in records],
+        [r.totals.predicted_evaluations for r in records],
         "disagree on predicted evaluations",
     )
 
@@ -304,9 +290,7 @@ def _summarize(records: list[RunRecord]) -> dict:
         "std_best_accuracy": best_accuracy.std(axis=0).tolist(),
         "mean_best_fitness": per_generation("best_fitness").mean(axis=0).tolist(),
         "mean_support": per_generation("support").mean(axis=0).tolist(),
-        "mean_empirical_auc": float(
-            np.mean([r.totals["empirical_auc"] for r in records])
-        ),
+        "mean_empirical_auc": float(np.mean([r.totals.empirical_auc for r in records])),
         "predicted_evaluations": predicted,
     }
 
@@ -353,11 +337,7 @@ def cmd_oracle(args) -> int:
 def cmd_report(args) -> int:
     records = [read_run_record(path) for path in args.records]
     for path, record in zip(args.records, records):
-        for key in ("predicted_evaluations", "empirical_auc", "cache_size"):
-            value = record.totals.get(key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise RecordError(f"{path}: totals.{key} must be a number, got {value!r}")
-        predicted = record.totals["predicted_evaluations"]
+        predicted = record.totals.predicted_evaluations
         if not predicted > 0:
             raise RecordError(
                 f"{path}: totals.predicted_evaluations must be positive, got {predicted!r}"
@@ -393,7 +373,7 @@ def cmd_report(args) -> int:
 
     predicted = summary["predicted_evaluations"]
     mean_auc = summary["mean_empirical_auc"]
-    mean_cache = float(np.mean([r.totals["cache_size"] for r in records]))
+    mean_cache = float(np.mean([r.totals.cache_size for r in records]))
     print()
     print("# evaluations")
     print(f"predicted m*K/2 = {predicted!r}")

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .objective import EvaluationLedger, Evaluator, empirical_auc, fitness, predicted_total_evaluations
-from .records import DistributionRow, GenerationEntry, RunRecord
+from .records import DistributionRow, GenerationEntry, RunRecord, RunTotals
 from .simulator import (
     Circuit,
     Gate,
@@ -205,16 +205,13 @@ def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
             key=lambda item: (-item[1], item[0]),
         )
     ]
-    totals = {
-        "cache_size": ledger.size,
-        "empirical_auc": empirical_auc([e.support for e in entries]),
-        "predicted_evaluations": predicted_total_evaluations(
-            config.shots, config.generations
-        ),
-    }
     return RunRecord(
         config=config.to_dict(),
         generations=entries,
         final_distribution=final,
-        totals=totals,
+        totals=RunTotals(
+            cache_size=ledger.size,
+            empirical_auc=empirical_auc([e.support for e in entries]),
+            predicted_evaluations=predicted_total_evaluations(config.shots, config.generations),
+        ),
     )

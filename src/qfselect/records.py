@@ -45,6 +45,15 @@ class DistributionRow:
 
 
 @dataclass(frozen=True)
+class RunTotals:
+    """The run's evaluation counts against the m*K/2 prediction."""
+
+    cache_size: int
+    empirical_auc: float
+    predicted_evaluations: float
+
+
+@dataclass(frozen=True)
 class RunRecord:
     """Everything one evolutionary run produced, ready to serialize."""
 
@@ -52,7 +61,7 @@ class RunRecord:
     config: dict
     generations: list[GenerationEntry]
     final_distribution: list[DistributionRow]
-    totals: dict
+    totals: RunTotals
 
 
 @dataclass(frozen=True)
@@ -155,12 +164,11 @@ _JSON_TYPES = {
 }
 
 
-def _from_dict(cls, raw, **nested):
+def _from_dict(cls, raw):
     """Build dataclass `cls` from a JSON object that holds every field.
 
-    Each value must have the JSON type of its field's annotation.  `nested`
-    maps a field name to the function that builds its value from the raw
-    one.  A `format_version` field must equal FORMAT_VERSION.
+    Each value is decoded by its field's annotation.  A `format_version`
+    field must equal FORMAT_VERSION.
     """
     if not isinstance(raw, dict):
         raise RecordError(f"{cls.__name__} must be a JSON object, got {type(raw).__name__}")
@@ -173,20 +181,30 @@ def _from_dict(cls, raw, **nested):
     missing = [name for name in names if name not in raw]
     if missing:
         raise RecordError(f"{cls.__name__} missing field(s) {', '.join(missing)}")
-    for f in fields(cls):
-        kind, types = _JSON_TYPES[f.type.partition("[")[0]]
-        value = raw[f.name]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise RecordError(f"{cls.__name__}.{f.name} must be {kind}, got {value!r:.40}")
-    values = {name: raw[name] for name in names}
-    values.update((name, build(values[name])) for name, build in nested.items())
-    return cls(**values)
+    where = cls.__name__ + "."
+    return cls(**{f.name: _decode(f.type, raw[f.name], where + f.name) for f in fields(cls)})
 
 
-def _generation_entries(raw) -> list[GenerationEntry]:
-    if not raw:
-        raise RecordError("generations must be a non-empty JSON array")
-    return [_from_dict(GenerationEntry, entry) for entry in raw]
+# The record rows a field annotation may name.
+_ROWS = {cls.__name__: cls for cls in (GenerationEntry, DistributionRow, RunTotals)}
+
+
+def _decode(annotation: str, value, where: str):
+    """`value` checked against `annotation`, with its record rows built.
+
+    A record row is built by `_from_dict`, each item of a `list[X]` is
+    decoded as an X, and any other value must have the annotation's JSON
+    type.  `where` names the value in the error message.
+    """
+    if annotation in _ROWS:
+        return _from_dict(_ROWS[annotation], value)
+    outer, _, item = annotation.partition("[")
+    kind, types = _JSON_TYPES[outer]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise RecordError(f"{where} must be {kind}, got {value!r:.40}")
+    if item:
+        return [_decode(item[:-1], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return value
 
 
 def write_run_record(record: RunRecord, path: str | Path) -> None:
@@ -194,12 +212,10 @@ def write_run_record(record: RunRecord, path: str | Path) -> None:
 
 
 def read_run_record(path: str | Path) -> RunRecord:
-    return _from_dict(
-        RunRecord,
-        _load_json(path),
-        generations=_generation_entries,
-        final_distribution=lambda raw: [_from_dict(DistributionRow, row) for row in raw],
-    )
+    record = _from_dict(RunRecord, _load_json(path))
+    if not record.generations:
+        raise RecordError("generations must be a non-empty JSON array")
+    return record
 
 
 def write_oracle_record(record: OracleRecord, path: str | Path) -> None:

@@ -1,6 +1,6 @@
 """Toy mask-scoring server speaking the external evaluator line protocol.
 
-Usage: python3 evaluator_stub.py MODE
+Usage: python3 evaluator_stub.py MODE [HEX ...]
 
 Modes:
   ones-fraction   OK <count of 1 bits / n>          (well-behaved server)
@@ -12,6 +12,8 @@ Modes:
   bad-handshake   answers the handshake with NOPE
   bad-utf8        OK followed by the bytes ff fe, which are not UTF-8
   close-stdout    closes its stdout at the first EVAL, then sleeps 30 s
+  replay          answers the k-th EVAL with the bytes of the k-th HEX
+                  argument and a newline
 """
 
 import os
@@ -54,6 +56,9 @@ def main() -> int:
             return 3
         elif mode == "bad-utf8":
             sys.stdout.buffer.write(b"OK \xff\xfe\n")
+            sys.stdout.flush()
+        elif mode == "replay":
+            sys.stdout.buffer.write(bytes.fromhex(sys.argv.pop(2)) + b"\n")
             sys.stdout.flush()
         elif mode == "close-stdout":
             os.close(sys.stdout.fileno())

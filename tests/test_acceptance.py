@@ -161,8 +161,8 @@ def test_04_wine_improvement_ordering(wine_runs):
 
 def test_05_evaluation_count_model(wine_runs):
     records = wine_runs["records"]
-    predicted = [record.totals["predicted_evaluations"] for record in records]
-    mean_auc = float(np.mean([record.totals["empirical_auc"] for record in records]))
+    predicted = [record.totals.predicted_evaluations for record in records]
+    mean_auc = float(np.mean([record.totals.empirical_auc for record in records]))
     support_ok = all(
         entry.support <= 6 * 64
         for record in records
@@ -246,7 +246,7 @@ def test_09_cache_miss_scaling():
                 ),
                 evaluator,
             )
-            worst = max(worst, record.totals["cache_size"])
-            ok = ok and record.totals["cache_size"] <= bound
+            worst = max(worst, record.totals.cache_size)
+            ok = ok and record.totals.cache_size <= bound
         results.append(f"n={n}: max misses {worst} <= {bound}")
     verdict(ok, "evaluation-count scaling", "; ".join(results))

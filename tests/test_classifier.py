@@ -16,7 +16,6 @@ from qfselect.classifier import (
     _standardized,
     evaluate,
     make_evaluator,
-    train_linear_svm,
 )
 from qfselect.dataset import SplitDataset, load_csv, stratified_split, wine_csv_path
 from qfselect.errors import DegenerateTrainingError, EvaluatorError, MaskError
@@ -96,15 +95,20 @@ class TestEvaluatorSpec:
         assert EvaluatorSpec(epochs=np.int64(3)).epochs == 3
 
 
+def train_one(x, y, C=1.0, epochs=200):
+    """`_train_ovr` fitting one model on every column of `x`."""
+    return classifier._train_ovr(x, y, C, epochs, np.ones((1, x.shape[1])))
+
+
 class TestTrainLinearSvm:
     def test_one_dimensional_separable(self):
         x = np.array([[-2.0], [-2.1], [-1.9], [2.0], [2.1], [1.9]])
         y = np.array([0, 0, 0, 1, 1, 1])
-        model = train_linear_svm(x, y)
-        assert np.array_equal(model.predict(x), y)
+        classes, weights, biases = train_one(x, y)
+        assert np.array_equal(classes[np.argmax(x @ weights.T + biases, axis=1)], y)
         # The class-1 score grows with x, the class-0 score falls.
-        assert model.weights[1, 0] > 0
-        assert model.weights[0, 0] < 0
+        assert weights[1, 0] > 0
+        assert weights[0, 0] < 0
 
     def test_duplicated_rows_leave_model_unchanged(self):
         rng = np.random.default_rng(5)
@@ -112,29 +116,31 @@ class TestTrainLinearSvm:
         y = rng.integers(0, 3, size=12)
         if np.unique(y).size < 2:  # keep the fixture honest
             y[0] = (y[0] + 1) % 3
-        single = train_linear_svm(x, y, C=1.0, epochs=50)
-        doubled = train_linear_svm(np.vstack([x, x]), np.concatenate([y, y]), C=1.0, epochs=50)
-        np.testing.assert_allclose(single.weights, doubled.weights, atol=1e-12)
-        np.testing.assert_allclose(single.biases, doubled.biases, atol=1e-12)
+        _, weights, biases = train_one(x, y, C=1.0, epochs=50)
+        _, doubled_w, doubled_b = train_one(
+            np.vstack([x, x]), np.concatenate([y, y]), C=1.0, epochs=50
+        )
+        np.testing.assert_allclose(weights, doubled_w, atol=1e-12)
+        np.testing.assert_allclose(biases, doubled_b, atol=1e-12)
 
     def test_single_epoch_defined(self):
         x = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
-        model = train_linear_svm(x, y, epochs=1)
-        assert np.any(model.weights != 0)
+        _, weights, _ = train_one(x, y, epochs=1)
+        assert np.any(weights != 0)
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateTrainingError):
-            train_linear_svm(np.zeros((4, 2)), np.zeros(4, dtype=int))
+            train_one(np.zeros((4, 2)), np.zeros(4, dtype=int))
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(30, 4))
         y = rng.integers(0, 2, size=30)
-        a = train_linear_svm(x, y)
-        b = train_linear_svm(x, y)
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.biases, b.biases)
+        _, weights, biases = train_one(x, y)
+        _, again_w, again_b = train_one(x, y)
+        assert np.array_equal(weights, again_w)
+        assert np.array_equal(biases, again_b)
 
 
 class TestEvaluate:
@@ -231,8 +237,11 @@ def reference_accuracy(mask, data, kind):
     train_x = _standardized(data.train_features[:, cols], mean, std)
     test_x = _standardized(data.test_features[:, cols], mean, std)
     if kind == "linear-svm":
-        model = train_linear_svm(train_x, data.train_labels)
-        predictions = model.predict(test_x)
+        classes, weights, biases = reference_train_ovr(
+            train_x, data.train_labels, 1.0, 200, np.ones((1, len(cols)))
+        )
+        # argmax takes the first maximum, so ties go to the lowest class.
+        predictions = classes[np.argmax(test_x @ weights.T + biases, axis=1)]
     else:
         classes = np.unique(data.train_labels)
         centroids = np.stack([train_x[data.train_labels == c].mean(axis=0) for c in classes])
@@ -391,6 +400,28 @@ class TestExternalEvaluator:
         )
         with ExternalEvaluator([sys.executable, "-c", script], n=3, timeout=5) as proc:
             assert [proc("101"), proc("011"), proc("111")] == [0.25, 0.5, 0.75]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        replies=st.lists(
+            st.tuples(
+                st.sampled_from([b"", b"OK "]),
+                st.binary(max_size=24).map(lambda b: b.replace(b"\n", b""))
+                | st.floats().map(lambda x: repr(x).encode()),
+            ).map(b"".join),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_any_reply_is_an_accuracy_or_an_evaluator_error(self, replies):
+        argv = [sys.executable, STUB, "replay"] + [reply.hex() for reply in replies]
+        with ExternalEvaluator(argv, n=3, timeout=2) as proc:
+            for _ in replies:
+                try:
+                    value = proc("101")
+                except EvaluatorError:
+                    continue
+                assert type(value) is float and 0.0 <= value <= 1.0
 
     @pytest.mark.parametrize(
         "mode",

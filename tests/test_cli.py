@@ -13,7 +13,13 @@ from hypothesis import given, settings, strategies as st
 from qfselect import cli
 from qfselect.cli import main
 from qfselect.evolution import EvolutionConfig, evolve
-from qfselect.records import read_oracle_record, read_run_record, write_run_record
+from qfselect.errors import RecordError
+from qfselect.records import (
+    OracleRecord,
+    read_oracle_record,
+    read_run_record,
+    write_run_record,
+)
 
 from helpers import write_planted_csv
 
@@ -122,16 +128,15 @@ class TestRun:
 
     def test_non_finite_sigma_is_usage_error(self, toy_csv, tmp_path, capsys):
         # An infinite sigma would turn the first modify mutation into a
-        # gate angle of +-inf; the flag parser refuses it before the run.
+        # gate angle of +-inf; MutationConfig refuses it before the run.
         for sigma in ("inf", "nan"):
             argv = run_args(
                 toy_csv, tmp_path / "runs", sigma=sigma,
                 p_insert="0.5", p_modify="0.5", p_delete="0", p_swap="0",
             )
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert "must be finite and > 0" in capsys.readouterr().err
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: sigma_modify must be positive and finite")
         assert not (tmp_path / "runs").exists()
 
     def test_missing_data_file_is_runtime_error(self, tmp_path):
@@ -153,6 +158,22 @@ class TestRun:
         assert not (tmp_path / "runs").exists()
         # The flags are checked before the data file is read.
         assert main(run_args(tmp_path / "absent.csv", tmp_path / "runs", p_insert="0.9")) == 2
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            {"p_insert": "1.5", "p_modify": "-0.5", "p_delete": "0", "p_swap": "0"},
+            {"p_swap": "nan"},
+            {"sigma": "0"},
+            {"sigma": "-0.1"},
+        ],
+        ids=["p-outside-0-1", "p-nan", "sigma-zero", "sigma-negative"],
+    )
+    def test_mutation_flag_out_of_range_is_usage_error(self, flag, tmp_path, capsys):
+        argv = run_args(tmp_path / "absent.csv", tmp_path / "runs", **flag)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not (tmp_path / "runs").exists()
 
     def test_value_error_during_a_run_is_runtime_error(
         self, toy_csv, tmp_path, monkeypatch, capsys
@@ -446,6 +467,7 @@ class TestReport:
             lambda raw: raw.update(totals={}),
             lambda raw: raw.update(totals=[]),
             lambda raw: raw["generations"][0].update(best_accuracy="0.5"),
+            lambda raw: raw["generations"][0].update(parent_fitness=["x", None]),
             lambda raw: raw.update(final_distribution=5),
             lambda raw: raw["final_distribution"].__setitem__(0, [5]),
             lambda raw: raw["final_distribution"][0].pop("accuracy"),
@@ -457,6 +479,7 @@ class TestReport:
             "totals-empty",
             "totals-array",
             "accuracy-string",
+            "parent-fitness-items",
             "distribution-number",
             "distribution-row-array",
             "distribution-row-without-accuracy",
@@ -495,31 +518,36 @@ def json_paths(value, path=()):
 JSON_EXAMPLES = (None, True, 7, 0.5, "x", [], {})
 
 
+def change_once(raw, data):
+    """`raw` after one drawn change: drop a key at any depth, change a
+    value's JSON type, or zero a number."""
+    path = data.draw(st.sampled_from(list(json_paths(raw))))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]] if path else raw
+    changes = ["retype"]
+    if path and isinstance(parent, dict):
+        changes.append("drop")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        changes.append("zero")
+    change = data.draw(st.sampled_from(changes))
+    if change == "drop":
+        del parent[path[-1]]
+        return raw
+    others = [v for v in JSON_EXAMPLES if type(v) is not type(value)]
+    new = 0 if change == "zero" else data.draw(st.sampled_from(others))
+    if not path:
+        return new
+    parent[path[-1]] = new
+    return raw
+
+
 class TestReportRobustness:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_one_change_to_a_record_never_tracebacks(self, cli_record, data):
-        raw = json.loads(cli_record.read_text(encoding="utf-8"))
-        path = data.draw(st.sampled_from(list(json_paths(raw))))
-        parent = raw
-        for key in path[:-1]:
-            parent = parent[key]
-        value = parent[path[-1]] if path else raw
-        changes = ["retype"]
-        if path and isinstance(parent, dict):
-            changes.append("drop")
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            changes.append("zero")
-        change = data.draw(st.sampled_from(changes))
-        if change == "drop":
-            del parent[path[-1]]
-        else:
-            others = [v for v in JSON_EXAMPLES if type(v) is not type(value)]
-            new = 0 if change == "zero" else data.draw(st.sampled_from(others))
-            if path:
-                parent[path[-1]] = new
-            else:
-                raw = new
+        raw = change_once(json.loads(cli_record.read_text(encoding="utf-8")), data)
         changed = cli_record.with_name("changed.json")
         changed.write_text(json.dumps(raw), encoding="utf-8")
         paths = [changed] + ([cli_record] if data.draw(st.booleans()) else [])
@@ -531,3 +559,28 @@ class TestReportRobustness:
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert err.getvalue().startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def cli_oracle_record(toy_csv, tmp_path_factory):
+    """A record written by `qfselect oracle`."""
+    out = tmp_path_factory.mktemp("pristine-oracle") / "oracle.json"
+    argv = ["oracle", "--data", str(toy_csv), "--label", "label", "--out", str(out)]
+    assert main(argv) == 0
+    return out
+
+
+class TestOracleRecordRobustness:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_one_change_to_a_record_reads_or_raises_record_error(
+        self, cli_oracle_record, data
+    ):
+        raw = change_once(json.loads(cli_oracle_record.read_text(encoding="utf-8")), data)
+        changed = cli_oracle_record.with_name("changed.json")
+        changed.write_text(json.dumps(raw), encoding="utf-8")
+        try:
+            record = read_oracle_record(changed)
+        except RecordError:
+            return
+        assert isinstance(record, OracleRecord)

@@ -285,16 +285,16 @@ class TestEvolve:
         assert [e.support for e in record.generations] == [sum(s) for s in per_generation]
         new = [e.new_evaluations for e in record.generations]
         assert [k for k in new if k] == ev.batches
-        assert sum(new) == record.totals["cache_size"]
+        assert sum(new) == record.totals.cache_size
 
     def test_totals(self):
         config = EvolutionConfig(n=4, generations=6, shots=32, seed=2)
         record = evolve(config, ones_fraction)
-        assert record.totals["predicted_evaluations"] == 96.0
-        assert record.totals["cache_size"] == sum(
+        assert record.totals.predicted_evaluations == 96.0
+        assert record.totals.cache_size == sum(
             e.new_evaluations for e in record.generations
         )
-        assert record.totals["empirical_auc"] >= 0.0
+        assert record.totals.empirical_auc >= 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from qfselect.records import (
     GenerationEntry,
     OracleRecord,
     RunRecord,
+    RunTotals,
     dumps_canonical,
     read_oracle_record,
     read_run_record,
@@ -50,12 +51,18 @@ generation_entries = st.builds(
 distribution_rows = st.builds(
     DistributionRow, mask=masks, probability=finite, accuracy=finite
 )
+run_totals = st.builds(
+    RunTotals,
+    cache_size=st.integers(0, 2**63),
+    empirical_auc=finite,
+    predicted_evaluations=finite,
+)
 run_records = st.builds(
     RunRecord,
     config=json_object,
     generations=st.lists(generation_entries, min_size=1, max_size=3),
     final_distribution=st.lists(distribution_rows, max_size=3),
-    totals=json_object,
+    totals=run_totals,
 )
 oracle_records = st.builds(
     OracleRecord,
@@ -87,7 +94,7 @@ def sample_record():
             DistributionRow("0101", 0.75, 0.27),
             DistributionRow("0001", 0.25, 0.17),
         ],
-        totals={"cache_size": 3, "empirical_auc": 4.0, "predicted_evaluations": 8.0},
+        totals=RunTotals(cache_size=3, empirical_auc=4.0, predicted_evaluations=8.0),
     )
 
 
@@ -203,6 +210,15 @@ class TestOracleRecordRoundTrip:
         path = tmp_path / "oracle.json"
         write_oracle_record(record, path)
         assert read_oracle_record(path) == record
+
+    def test_entries_that_are_not_objects_rejected(self, tmp_path):
+        record = OracleRecord(
+            config={"n": 1}, entries=[5, "x"], best_mask="1", best_accuracy=1.0
+        )
+        path = tmp_path / "oracle.json"
+        write_oracle_record(record, path)
+        with pytest.raises(RecordError, match=r"OracleRecord.entries\[0\] must be an object"):
+            read_oracle_record(path)
 
 
 class TestRecordCodec:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SplitDataset
-from .errors import DegenerateTrainingError, EvaluatorError
-from .masks import mask_columns
+from .errors import DegenerateTrainingError, EvaluatorError, FitnessError
+from .masks import mask_columns, validate_mask
 
 KINDS = ("linear-svm", "nearest-centroid", "external")
 
@@ -125,20 +125,58 @@ def evaluate(mask: str, data: SplitDataset, spec: EvaluatorSpec) -> float:
     return _LocalEvaluator(spec, data)(mask)
 
 
+# EVAL lines sent before their replies are read.  A window's requests must
+# fit a pipe buffer even if the server never reads them, or the client would
+# block writing while the server blocks writing replies nobody reads: 32
+# lines of 68 bytes (n = 62, the widest mask a run simulates) are 2.2 KiB,
+# under the 4 KiB of the smallest pipe Linux gives.  Wider masks get a
+# window of fewer lines.
+WINDOW = 32
+_SMALLEST_PIPE = 4096
+
+
+def _accuracy(line: bytes) -> float:
+    """The accuracy in an "OK <accuracy>" reply line; anything else raises."""
+    reply = _decoded(line)
+    if reply.startswith("ERR"):
+        raise EvaluatorError(f"evaluator error: {reply[3:].strip()}")
+    if not reply.startswith("OK "):
+        raise EvaluatorError(f"malformed evaluator reply: {reply!r}")
+    try:
+        value = float(reply[3:].strip())
+    except ValueError:
+        raise EvaluatorError(f"malformed evaluator reply: {reply!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise EvaluatorError(f"evaluator accuracy {value} outside [0, 1]")
+    return value
+
+
+def _decoded(line: bytes) -> str:
+    try:
+        return line.removesuffix(b"\r").decode("utf-8")
+    except UnicodeDecodeError:
+        raise EvaluatorError(f"evaluator reply is not UTF-8: {line!r}") from None
+
+
 class ExternalEvaluator:
     """Client for a mask-scoring child process.
 
     Protocol over stdin/stdout, UTF-8, one line per message:
     we send "HELLO EQFS 1 <n>" and expect "READY"; each "EVAL <mask>" is
-    answered by "OK <accuracy>" or "ERR <message>"; "QUIT" ends the
-    session.  One request is in flight at a time; the process is reused
-    for every mask of a run.  Replies are read on the calling thread,
-    waiting on the pipe with select(), so this client needs a POSIX system.
+    answered by "OK <accuracy>" or "ERR <message>", in request order;
+    "QUIT" ends the session.  Calling the evaluator sends one request and
+    waits for its reply; evaluate_many() pipelines, writing up to WINDOW
+    requests before it reads their replies, so a server that answers each
+    line before it reads the next serves both.  The process is reused for
+    every mask of a run.  Replies are read on the calling thread, waiting
+    on the pipe with select(), so this client needs a POSIX system.
     """
 
     def __init__(self, command: str | list[str], n: int, timeout: float = 60.0):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
+        self.n = n
         self._timeout = timeout
+        self._window = max(1, min(WINDOW, _SMALLEST_PIPE // len(f"EVAL {'0' * n}\n")))
         self._unread = b""  # bytes received after the last complete reply
         try:
             self._proc = subprocess.Popen(
@@ -148,7 +186,7 @@ class ExternalEvaluator:
             raise EvaluatorError(f"cannot launch evaluator {argv!r}: {err}") from err
         try:
             self._send(f"HELLO EQFS 1 {n}")
-            reply = self._receive()
+            reply = _decoded(self._receive())
             if reply != "READY":
                 raise EvaluatorError(f"bad handshake reply: {reply!r}")
         except BaseException:
@@ -162,8 +200,8 @@ class ExternalEvaluator:
         except (BrokenPipeError, ValueError, OSError) as err:
             raise EvaluatorError(f"evaluator process is gone: {err}") from err
 
-    def _receive(self) -> str:
-        """The next reply line, waiting at most the timeout for it."""
+    def _receive(self) -> bytes:
+        """The next reply line, undecoded, waiting at most the timeout for it."""
         deadline = time.monotonic() + self._timeout
         fd = self._proc.stdout.fileno()
         while b"\n" not in self._unread:
@@ -184,25 +222,50 @@ class ExternalEvaluator:
                 raise EvaluatorError(f"evaluator exited early with code {code}")
             self._unread += chunk
         line, _, self._unread = self._unread.partition(b"\n")
-        try:
-            return line.removesuffix(b"\r").decode("utf-8")
-        except UnicodeDecodeError:
-            raise EvaluatorError(f"evaluator reply is not UTF-8: {line!r}") from None
+        return line
 
     def __call__(self, mask: str) -> float:
+        validate_mask(mask, self.n)
         self._send(f"EVAL {mask}")
-        reply = self._receive()
-        if reply.startswith("ERR"):
-            raise EvaluatorError(f"evaluator error: {reply[3:].strip()}")
-        if not reply.startswith("OK "):
-            raise EvaluatorError(f"malformed evaluator reply: {reply!r}")
-        try:
-            value = float(reply[3:].strip())
-        except ValueError:
-            raise EvaluatorError(f"malformed evaluator reply: {reply!r}") from None
-        if not 0.0 <= value <= 1.0:
-            raise EvaluatorError(f"evaluator accuracy {value} outside [0, 1]")
-        return value
+        return _accuracy(self._receive())
+
+    def evaluate_many(self, masks: list[str]) -> list[float]:
+        """Accuracies of `masks`, in order, up to WINDOW requests in flight.
+
+        Every mask is validated before anything is sent.  A failed request
+        raises FitnessError naming its mask, with the text ``ev(mask)``
+        would have raised; a window's replies are all read before any is
+        parsed, so an ERR reply leaves the stream in step.
+        """
+        for mask in masks:
+            validate_mask(mask, self.n)
+        values: list[float] = []
+        for start in range(0, len(masks), self._window):
+            window = masks[start : start + self._window]
+            try:
+                self._send("\n".join(f"EVAL {mask}" for mask in window))
+            except EvaluatorError as err:
+                raise FitnessError(f"evaluator failed: {err}", mask=window[0]) from err
+            lines: list[bytes] = []
+            lost = None  # why the reply to window[len(lines)] never came
+            for _ in window:
+                try:
+                    lines.append(self._receive())
+                except EvaluatorError as err:
+                    lost = err
+                    break
+            # The replies that came are checked first: an earlier mask's
+            # bad reply is the failure one request at a time would report.
+            for mask, line in zip(window, lines):
+                try:
+                    values.append(_accuracy(line))
+                except EvaluatorError as err:
+                    raise FitnessError(f"evaluator failed: {err}", mask=mask) from err
+            if lost is not None:
+                raise FitnessError(
+                    f"evaluator failed: {lost}", mask=window[len(lines)]
+                ) from lost
+        return values
 
     def close(self) -> None:
         if self._proc.poll() is None:

@@ -47,7 +47,9 @@ class EvaluationLedger:
         method, else by one call per miss.  Results enter the cache in that
         order, so a tie for the best accuracy goes to the first-seen mask.
         A mask whose evaluation fails or leaves [0, 1] raises FitnessError
-        and is not cached; when ``evaluate_many`` raises, the misses are
+        and is not cached.  A FitnessError from ``evaluate_many`` already
+        names its mask and is raised as it is, with none of the batch
+        cached; when ``evaluate_many`` raises anything else, the misses are
         scored again one call at a time so that the error names its mask.
         An ``evaluate_many`` result of another length than the batch raises
         EvaluatorError.
@@ -58,6 +60,8 @@ class EvaluationLedger:
         if misses and hasattr(evaluator, "evaluate_many"):
             try:
                 values = list(evaluator.evaluate_many(misses))
+            except FitnessError:
+                raise
             except Exception:
                 pass  # scored one call per mask below
         if values is not None and len(values) != len(misses):

@@ -2,6 +2,11 @@
 
 Usage: python3 evaluator_stub.py MODE [HEX ...]
 
+It answers each request line before it reads the next, so it serves a
+client that pipelines requests (ExternalEvaluator.evaluate_many) as well
+as one that waits for each reply.  In "replay" mode, a request beyond the
+last HEX argument ends the process with a traceback and exit code 1.
+
 Modes:
   ones-fraction   OK <count of 1 bits / n>          (well-behaved server)
   err             ERR no such column

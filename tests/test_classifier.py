@@ -1,5 +1,6 @@
 """Evaluator tests: linear SVM, nearest centroid, external protocol."""
 
+import fcntl
 import sys
 import time
 from pathlib import Path
@@ -18,15 +19,21 @@ from qfselect.classifier import (
     make_evaluator,
 )
 from qfselect.dataset import SplitDataset, load_csv, stratified_split, wine_csv_path
-from qfselect.errors import DegenerateTrainingError, EvaluatorError, MaskError
+from qfselect.errors import DegenerateTrainingError, EvaluatorError, FitnessError, MaskError
+from qfselect.objective import EvaluationLedger
 
 from helpers import NOT_BITSTRINGS, planted_rows, reference_train_ovr
 
 STUB = str(Path(__file__).parent / "evaluator_stub.py")
+EXT_SERVER = str(Path(__file__).parent.parent / "bench" / "ext_server.py")
 
 
 def stub_cmd(mode):
     return f"{sys.executable} {STUB} {mode}"
+
+
+def replay_argv(*replies):
+    return [sys.executable, STUB, "replay"] + [reply.hex() for reply in replies]
 
 
 def make_split(train_x, train_y, test_x, test_y):
@@ -414,8 +421,7 @@ class TestExternalEvaluator:
         )
     )
     def test_any_reply_is_an_accuracy_or_an_evaluator_error(self, replies):
-        argv = [sys.executable, STUB, "replay"] + [reply.hex() for reply in replies]
-        with ExternalEvaluator(argv, n=3, timeout=2) as proc:
+        with ExternalEvaluator(replay_argv(*replies), n=3, timeout=2) as proc:
             for _ in replies:
                 try:
                     value = proc("101")
@@ -436,18 +442,121 @@ class TestExternalEvaluator:
             return opened[-1]
 
         with mock.patch.object(classifier.subprocess, "Popen", recording_popen):
-            try:
-                with ExternalEvaluator(stub_cmd(mode), n=3, timeout=0.3) as proc:
-                    proc("101")
-            except EvaluatorError:
-                pass
-        (child,) = opened
-        assert child.stdin.closed and child.stdout.closed
-        assert child.returncode is not None
+            for score in (lambda ev: ev("101"), lambda ev: ev.evaluate_many(["101", "011"])):
+                try:
+                    with ExternalEvaluator(stub_cmd(mode), n=3, timeout=0.3) as proc:
+                        score(proc)
+                except (EvaluatorError, FitnessError):
+                    pass
+        assert len(opened) == 2
+        for child in opened:
+            assert child.stdin.closed and child.stdout.closed
+            assert child.returncode is not None
 
     def test_unlaunchable_command(self):
         with pytest.raises(EvaluatorError, match="launch"):
             ExternalEvaluator("/no/such/binary-xyz", n=3)
+
+    @pytest.mark.parametrize("bad", ["011\n111", "01", "0111", "0 1"])
+    def test_bad_mask_is_refused_before_it_is_sent(self, bad):
+        # A newline inside a mask would send two requests and leave every
+        # later reply one call late.
+        with ExternalEvaluator(stub_cmd("ones-fraction"), n=3, timeout=5) as proc:
+            with pytest.raises(MaskError):
+                proc(bad)
+            with pytest.raises(MaskError):
+                proc.evaluate_many(["100", bad])
+            assert proc("110") == pytest.approx(2 / 3)
+            assert proc.evaluate_many(["100", "000"]) == [pytest.approx(1 / 3), 0.0]
+
+
+class TestPipelinedEvaluation:
+    def test_requests_are_pipelined(self):
+        # This server reads two requests before it answers either, so a
+        # client that waits for each reply before sending the next hangs.
+        script = (
+            "import sys\n"
+            "sys.stdin.readline(); print('READY', flush=True)\n"
+            "lines = [sys.stdin.readline(), sys.stdin.readline()]\n"
+            "for line in lines:\n"
+            "    print(f'OK {line.split()[1].count(\"1\") / 3}', flush=True)\n"
+            "sys.stdin.readline()\n"
+        )
+        with ExternalEvaluator([sys.executable, "-c", script], n=3, timeout=5) as proc:
+            assert proc.evaluate_many(["100", "011"]) == [1 / 3, 2 / 3]
+
+    def test_wide_batch_cannot_deadlock(self):
+        # 2000 requests of 68 bytes are over 64 KiB, more than a default
+        # pipe holds, so they must go out a window at a time.
+        rng = np.random.default_rng(7)
+        masks = ["".join(row) for row in rng.choice(["0", "1"], size=(2000, 62))]
+        with ExternalEvaluator(stub_cmd("ones-fraction"), n=62, timeout=10) as proc:
+            assert proc.evaluate_many(masks) == [mask.count("1") / 62 for mask in masks]
+
+    @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs Linux pipe sizing")
+    def test_a_window_fits_the_smallest_pipe(self):
+        # The server shrinks its request pipe to one page and never reads:
+        # a window that did not fit would block the client's write until
+        # the server exits, instead of timing out on the first reply.
+        script = (
+            "import fcntl, sys, time\n"
+            "fcntl.fcntl(0, fcntl.F_SETPIPE_SZ, 4096)\n"
+            "sys.stdin.readline(); print('READY', flush=True)\n"
+            "time.sleep(3)\n"
+        )
+        masks = ["0" * 500] * classifier.WINDOW
+        with ExternalEvaluator([sys.executable, "-c", script], n=500, timeout=0.3) as proc:
+            with pytest.raises(FitnessError, match="no reply within") as exc:
+                proc.evaluate_many(masks)
+        assert exc.value.mask == masks[0]
+
+    def test_empty_batch_sends_nothing(self):
+        with ExternalEvaluator(stub_cmd("die"), n=3, timeout=5) as proc:
+            assert proc.evaluate_many([]) == []
+            with pytest.raises(EvaluatorError, match="exited early with code 3"):
+                proc("101")
+
+    def test_bench_ext_server_serves_a_pipelined_sweep(self):
+        masks = [format(i, "010b") for i in range(2**10)]
+        with ExternalEvaluator([sys.executable, EXT_SERVER], n=10, timeout=10) as proc:
+            assert proc.evaluate_many(masks) == [mask.count("1") / 10 for mask in masks]
+
+    def test_error_reply_in_a_window_names_its_mask(self):
+        ev = ExternalEvaluator(replay_argv(b"OK 0.5", b"OK 0.25", b"ERR bad col"), n=3, timeout=5)
+        ledger = EvaluationLedger()
+        with ev, pytest.raises(FitnessError, match="evaluator error: bad col") as exc:
+            ledger.score(["100", "010", "001"], ev)
+        assert exc.value.mask == "001"
+        assert ledger.size == 0  # a failed batch caches none of its masks
+
+    def test_error_reply_leaves_the_stream_in_step(self):
+        argv = replay_argv(b"OK 0.5", b"ERR bad col", b"OK 0.25", b"OK 0.75")
+        with ExternalEvaluator(argv, n=3, timeout=5) as proc:
+            with pytest.raises(FitnessError, match="evaluator error: bad col") as exc:
+                proc.evaluate_many(["100", "010", "001"])
+            assert exc.value.mask == "010"
+            assert proc("111") == 0.75
+
+    def test_early_exit_in_a_window_names_its_mask(self, capfd):
+        ev = ExternalEvaluator(replay_argv(b"OK 0.5"), n=3, timeout=5)
+        with ev, pytest.raises(FitnessError, match="exited early") as exc:
+            EvaluationLedger().score(["100", "010", "001"], ev)
+        assert exc.value.mask == "010"
+        capfd.readouterr()  # the stub's traceback for its missing reply
+
+    def test_bad_reply_before_an_early_exit_is_the_failure_reported(self, capfd):
+        # One request at a time, "010" would fail before "001" was sent.
+        ev = ExternalEvaluator(replay_argv(b"OK 0.5", b"WAT"), n=3, timeout=5)
+        with ev, pytest.raises(FitnessError, match="malformed evaluator reply: 'WAT'") as exc:
+            ev.evaluate_many(["100", "010", "001"])
+        assert exc.value.mask == "010"
+        capfd.readouterr()
+
+    def test_timeout_in_a_window_names_the_first_mask(self):
+        ev = ExternalEvaluator(stub_cmd("slow"), n=3, timeout=0.3)
+        with ev, pytest.raises(FitnessError, match="no reply within") as exc:
+            EvaluationLedger().score(["100", "010", "001"], ev)
+        assert exc.value.mask == "100"
 
 
 class TestMakeEvaluator:

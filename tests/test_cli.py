@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from qfselect import cli
 from qfselect.cli import main
+from qfselect.dataset import wine_csv_path
 from qfselect.evolution import EvolutionConfig, evolve
 from qfselect.errors import RecordError
 from qfselect.records import (
@@ -125,6 +126,18 @@ class TestRun:
             external_cmd=f"{STUB_CMD} err",
         )
         assert main(argv) == 1
+
+    def test_dying_external_evaluator_names_the_first_mask(self, tmp_path, capsys):
+        argv = [
+            "run", "--data", str(wine_csv_path()), "--out", str(tmp_path / "runs"),
+            "--repeat", "1", "--generations", "2",
+            "--evaluator", "external", "--external-cmd", f"{STUB_CMD} die",
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: mask 0000000000000: evaluator failed: "
+            "evaluator exited early with code 3\n"
+        )
 
     def test_non_finite_sigma_is_usage_error(self, toy_csv, tmp_path, capsys):
         # An infinite sigma would turn the first modify mutation into a

@@ -160,6 +160,18 @@ class TestLedger:
         assert exc.value.mask == "00"
         assert "00" not in ledger.cache
 
+    def test_fitness_error_from_a_batch_is_raised_as_it_is(self):
+        class NamesItsMask(CountingEvaluator):
+            def evaluate_many(self, masks):
+                raise FitnessError("evaluator failed: bad column", mask="01")
+
+        ledger = EvaluationLedger()
+        ev = NamesItsMask({"10": 0.5, "01": 0.25})
+        with pytest.raises(FitnessError, match="^mask 01: evaluator failed: bad column$"):
+            ledger.score(["10", "01"], ev)
+        assert ev.calls == []  # no retry one mask at a time
+        assert ledger.size == 0
+
     @pytest.mark.parametrize("returned", [[0.5], [0.5, 0.25, 0.75]])
     def test_batch_result_of_the_wrong_length_is_refused(self, returned):
         class WrongLength(CountingEvaluator):

@@ -5,10 +5,23 @@ identical file, so floats are always rendered with 17 significant digits
 (enough to round-trip float64 exactly) and key order is fixed by the
 record builders, never by the serializer: a dataclass is written as its
 fields in declaration order, a dict in insertion order.
+
+The writer dispatches on a value's exact type first: a `str`, `float` or
+`int` is written by that type's rule with no `isinstance` test, and a
+dict, list or tuple, exact or subclass, as a container.  Everything else
+takes one `isinstance` tail, in a fixed order: a bool before an int, numpy
+scalars through `int()`/`float()`, a leaf subclass by the rule of its base
+type, a dataclass as its fields.  The split is there for exact output, not
+only for speed: an exact leaf type can match no other rule, and every
+other value keeps the one rule the tail always gave it, so a bool is never
+written as an int and an `np.float64` takes the 17-digit float rule.
+Strings and keys are escaped by the C escaper that `json.dumps(s,
+ensure_ascii=False)` calls, so their bytes are the standard library's.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -19,6 +32,9 @@ import numpy as np
 from .errors import RecordError
 
 FORMAT_VERSION = 1
+
+# The C escaper `json.dumps(s, ensure_ascii=False)` itself calls on a str.
+_escape = json.encoder.encode_basestring
 
 
 @dataclass(frozen=True)
@@ -76,38 +92,61 @@ class OracleRecord:
 
 
 def _format_float(value: float) -> str:
-    if math.isnan(value) or math.isinf(value):
+    if not math.isfinite(value):
         raise RecordError(f"cannot serialize non-finite float {value!r}")
     text = "%.17g" % value
-    if not any(c in text for c in ".eE"):
+    # "%g" writes its exponent with a lower-case "e".
+    if "." not in text and "e" not in text:
         text += ".0"
     return text
 
 
+@functools.cache
+def _line_breaks(indent: int) -> tuple[str, str, str]:
+    """A container's breaks at `indent`: before its first item, between
+    items, and before its closing bracket.
+
+    Cached so that every container at one depth shares the same three
+    strings: a 2^14-entry oracle record then holds no per-entry copies.
+    """
+    first = "\n" + "  " * (indent + 1)
+    return first, "," + first, "\n" + "  " * indent
+
+
 def _emit(value, out: list[str], indent: int) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
+    # Each container item is followed by the separator, and the last
+    # separator is then replaced by the closing break.
+    kind = type(value)
+    if kind is str:
+        out.append(_escape(value))
+    elif kind is float:
+        out.append(_format_float(value))
+    elif kind is int:
+        out.append(str(value))
+    elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
-        out.append("{\n")
-        items = list(value.items())
-        for i, (key, val) in enumerate(items):
-            out.append(inner + json.dumps(str(key), ensure_ascii=False) + ": ")
+        first, separator, last = _line_breaks(indent)
+        out += ("{", first)
+        for key, val in value.items():
+            out.append(_escape(str(key)) + ": ")
             _emit(val, out, indent + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
+            out.append(separator)
+        out[-1] = last
+        out.append("}")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
-        out.append("[\n")
-        for i, val in enumerate(value):
-            out.append(inner)
+        first, separator, last = _line_breaks(indent)
+        out += ("[", first)
+        for val in value:
             _emit(val, out, indent + 1)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(pad + "]")
+            out.append(separator)
+        out[-1] = last
+        out.append("]")
+    # The tail: bool, None, numpy scalars, leaf subclasses and dataclasses.
     elif isinstance(value, bool):
         out.append("true" if value else "false")
     elif isinstance(value, (int, np.integer)):
@@ -115,7 +154,7 @@ def _emit(value, out: list[str], indent: int) -> None:
     elif isinstance(value, (float, np.floating)):
         out.append(_format_float(float(value)))
     elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
+        out.append(_escape(value))
     elif value is None:
         out.append("null")
     elif is_dataclass(value) and not isinstance(value, type):
@@ -148,9 +187,19 @@ def _load_json(path: str | Path):
     if not path.exists():
         raise RecordError(f"no such record file: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise RecordError(f"{path} is not UTF-8 text: {err.reason}") from None
+    except OSError as err:
+        raise RecordError(f"cannot read {path}: {err.strerror}") from None
+    # ValueError covers a JSONDecodeError and an integer past Python's
+    # digit limit; RecursionError, arrays or objects nested too deeply.
+    try:
+        return json.loads(text)
+    except ValueError as err:
         raise RecordError(f"corrupt record {path}: {err}") from None
+    except RecursionError:
+        raise RecordError(f"corrupt record {path}: nested too deeply") from None
 
 
 # The JSON type each field annotation takes; a bool is neither integer

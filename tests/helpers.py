@@ -1,12 +1,15 @@
 """Shared test helpers: per-bit references for the mask codec and support
 positions, random circuits over the full gate basis, the dense gate oracle,
-the reference SVM kernel, and planted-feature data."""
+the reference SVM kernel, the reference record writer, and planted-feature
+data."""
 
+import json
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from qfselect.errors import OracleLimitError
+from qfselect.errors import OracleLimitError, RecordError
 from qfselect.simulator import Circuit, Gate, GateKind, SINGLE_QUBIT_KINDS
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -105,6 +108,64 @@ def reference_train_ovr(features, labels, C, epochs, keep):
         weights -= lr * grad_w
         biases -= lr * grad_b
     return classes, weights, biases
+
+
+def _reference_format_float(value: float) -> str:
+    if math.isnan(value) or math.isinf(value):
+        raise RecordError(f"cannot serialize non-finite float {value!r}")
+    text = "%.17g" % value
+    if not any(c in text for c in ".eE"):
+        text += ".0"
+    return text
+
+
+def _reference_emit(value, out: list[str], indent: int) -> None:
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        out.append("{\n")
+        items = list(value.items())
+        for i, (key, val) in enumerate(items):
+            out.append(inner + json.dumps(str(key), ensure_ascii=False) + ": ")
+            _reference_emit(val, out, indent + 1)
+            out.append(",\n" if i + 1 < len(items) else "\n")
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, val in enumerate(value):
+            out.append(inner)
+            _reference_emit(val, out, indent + 1)
+            out.append(",\n" if i + 1 < len(value) else "\n")
+        out.append(pad + "]")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        out.append(_reference_format_float(float(value)))
+    elif isinstance(value, str):
+        out.append(json.dumps(value, ensure_ascii=False))
+    elif value is None:
+        out.append("null")
+    elif is_dataclass(value) and not isinstance(value, type):
+        _reference_emit({f.name: getattr(value, f.name) for f in fields(value)}, out, indent)
+    else:
+        raise RecordError(f"cannot serialize value of type {type(value).__name__}")
+
+
+def reference_dumps_canonical(value) -> str:
+    """The canonical record writer in its plain form, the byte-level
+    reference for `records.dumps_canonical`: one isinstance chain for every
+    value and one `json.dumps` call for every string and key."""
+    out: list[str] = []
+    _reference_emit(value, out, 0)
+    return "".join(out) + "\n"
 
 
 def planted_rows(n, rows, informative, seed):

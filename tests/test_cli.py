@@ -1,6 +1,7 @@
 """End-to-end CLI tests: flags, exit codes, artifacts, reports."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -249,6 +250,22 @@ class TestOracle:
         assert record.best_mask[0] == "1" and record.best_mask[2] == "1"
         assert record.best_accuracy == max(e["accuracy"] for e in record.entries)
 
+    def test_oracle_record_bytes_are_pinned(self, tmp_path):
+        # Any change to key order, float formatting, string escaping or the
+        # sweep itself moves this digest; a change that means to must say so
+        # and update it.
+        data = tmp_path / "planted.csv"
+        write_planted_csv(data, n=6, rows=60, informative=(1, 4), seed=11)
+        out = tmp_path / "oracle.json"
+        argv = [
+            "oracle", "--data", str(data), "--label", "label",
+            "--evaluator", "nearest-centroid", "--seed", "2", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b094b2f3bb316c04622a0171abb0c757c33cd4bb9e093478ca11eaa02f7d1cdf"
+        )
+
     def test_single_feature_dataset(self, tmp_path):
         data = tmp_path / "one.csv"
         data.write_text(
@@ -384,6 +401,23 @@ class TestReport:
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
         assert main(["report", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda path: path.mkdir(),
+            lambda path: path.write_bytes(b"\xff\xfe{}"),
+            lambda path: path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8"),
+        ],
+        ids=["directory", "not-utf8", "nested-too-deep"],
+    )
+    def test_unreadable_record_is_an_error_line(self, make, tmp_path, capsys):
+        path = tmp_path / "record.json"
+        make(path)
+        assert main(["report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_means_match_the_aggregate(self, toy_csv, tmp_path, capsys):
         # Nine records: enough for a pairwise column sum to differ from the

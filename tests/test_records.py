@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -24,6 +27,8 @@ from qfselect.records import (
     write_oracle_record,
     write_run_record,
 )
+
+from helpers import reference_dumps_canonical
 
 
 # Hypothesis strategies for JSON values and the record dataclasses.  Lone
@@ -71,6 +76,57 @@ oracle_records = st.builds(
     best_mask=masks,
     best_accuracy=finite,
 )
+
+
+# Any value the writer may be handed, supported or not, for comparing it
+# with the reference writer.
+class DictSubclass(dict):
+    pass
+
+
+class ListSubclass(list):
+    pass
+
+
+any_text = st.text(max_size=6) | st.lists(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\ud800", "\udfff",
+                     "\u00e9", "\u2028", "\U0001f600", "a", "/"]),
+    max_size=6,
+).map("".join)
+any_float = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e17, -1e22, 1e-7, 3.0, 2.0**53]
+)
+any_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**60), 10**60)
+    | any_float
+    | any_text
+    | any_float.map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | st.sampled_from([object(), np.arange(3), float("nan"), float("-inf")])
+)
+any_key = any_text | st.integers(-5, 5) | any_float | st.booleans() | st.none()
+any_value = st.recursive(
+    any_leaf | generation_entries | distribution_rows | run_totals,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(inner, max_size=3).map(ListSubclass)
+    | st.dictionaries(any_key, inner, max_size=3)
+    | st.dictionaries(any_key, inner, max_size=3).map(DictSubclass)
+    | st.builds(DistributionRow, mask=inner, probability=inner, accuracy=inner),
+    max_leaves=10,
+) | run_records | oracle_records
+
+
+def outcome(dumps, value):
+    """The text `dumps` writes for `value`, or the error it raises."""
+    try:
+        return dumps(value)
+    except Exception as err:
+        return type(err), str(err)
 
 
 def sample_record():
@@ -129,6 +185,11 @@ class TestCanonicalJson:
     def test_unserializable_type_rejected(self):
         with pytest.raises(RecordError, match="type"):
             dumps_canonical({"x": object()})
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=any_value)
+    def test_matches_the_reference_writer(self, value):
+        assert outcome(dumps_canonical, value) == outcome(reference_dumps_canonical, value)
 
     def test_deterministic_output(self):
         record = sample_record()
@@ -251,6 +312,29 @@ class TestRecordCodec:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "1ddf1b05c5eefa2f5fc8ddb37e171d4a8b2111406b0d6f631ceb5704febbdb8d"
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        content=st.binary(max_size=64)
+        | st.lists(
+            st.sampled_from(
+                [b"{", b"}", b"[", b"]", b'"', b":", b",", b"0", b"1.5", b"-2e3",
+                 b"1e999", b"NaN", b"null", b"true", b'"format_version"',
+                 b'"config"', b"\\ud800", b"\xff", b"\xc3\xa9", b"\xef\xbb\xbf"]
+            ),
+            max_size=40,
+        ).map(b"".join)
+    )
+    def test_any_bytes_read_or_raise_record_error(self, content):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "record.json"
+            path.write_bytes(content)
+            for read, cls in ((read_run_record, RunRecord), (read_oracle_record, OracleRecord)):
+                try:
+                    record = read(path)
+                except RecordError:
+                    continue
+                assert isinstance(record, cls)
 
     @pytest.mark.parametrize("read", [read_run_record, read_oracle_record])
     def test_non_object_rejected(self, read, tmp_path):

@@ -12,7 +12,6 @@ import numpy as np
 from qfselect import (
     EvaluatorSpec,
     EvolutionConfig,
-    evaluate,
     evolve,
     load_csv,
     make_evaluator,
@@ -32,11 +31,10 @@ def main() -> None:
           f"classes {dict(zip(data.label_names, counts.tolist()))}")
     print(f"split: {len(split.train_labels)} train / {len(split.test_labels)} test")
 
-    spec = EvaluatorSpec()  # linear SVM, C=1.0, 200 epochs
-    baseline = evaluate("1" * data.n_features, split, spec)
+    evaluator = make_evaluator(EvaluatorSpec(), split)  # linear SVM, C=1.0, 200 epochs
+    baseline = evaluator("1" * data.n_features)
     print(f"\nall-features baseline accuracy: {baseline:.4f}")
 
-    evaluator = make_evaluator(spec, split)
     print(f"\n{'seed':>4}  {'best-acc':>8}  {'depth':>5}  {'masks-tried':>11}  best-mask")
     finals, aucs, depths = [], [], []
     for i in range(REPEATS):

@@ -9,7 +9,6 @@ circuits.  See README.md for the full tour.
 from .classifier import (
     EvaluatorSpec,
     ExternalEvaluator,
-    evaluate,
     make_evaluator,
 )
 from .dataset import (
@@ -98,7 +97,6 @@ __all__ = [
     # mask scoring
     "EvaluatorSpec",
     "ExternalEvaluator",
-    "evaluate",
     "make_evaluator",
     # objective bookkeeping
     "EvaluationLedger",

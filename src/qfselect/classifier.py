@@ -3,9 +3,9 @@
 Three interchangeable backends score a feature mask on a fixed train/test
 split: a from-scratch one-vs-rest linear SVM, a nearest-centroid model for
 cheap tests, and a client that delegates to an external process over a
-line protocol.  All are deterministic functions of their inputs.  The two
-local models score every mask through one routine,
-``_LocalEvaluator.evaluate_many``; a single mask is a batch of one.
+line protocol.  All are deterministic functions of their inputs.  Each
+evaluator scores every mask through its ``evaluate_many``; calling it on a
+single mask scores a batch of one.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class EvaluatorSpec:
             raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.kind == "external" and not self.external_cmd:
-            raise ValueError("external evaluator requires a command line")
+        if self.kind == "external":
+            _argv(self.external_cmd or "")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValueError(f"timeout must be positive and finite, got {self.timeout}")
 
@@ -116,15 +116,6 @@ def _majority_accuracy(data: SplitDataset) -> float:
     return float(np.mean(data.test_labels == majority))
 
 
-def evaluate(mask: str, data: SplitDataset, spec: EvaluatorSpec) -> float:
-    """Test accuracy of the configured model trained on the masked columns."""
-    if spec.kind == "external":
-        raise EvaluatorError(
-            "external evaluation needs a live process; use make_evaluator()"
-        )
-    return _LocalEvaluator(spec, data)(mask)
-
-
 # EVAL lines sent before their replies are read.  A window's requests must
 # fit a pipe buffer even if the server never reads them, or the client would
 # block writing while the server blocks writing replies nobody reads: 32
@@ -158,22 +149,36 @@ def _decoded(line: bytes) -> str:
         raise EvaluatorError(f"evaluator reply is not UTF-8: {line!r}") from None
 
 
+def _argv(command: str | list[str]) -> list[str]:
+    """The argv of an evaluator command line; ValueError if it names no program."""
+    try:
+        argv = shlex.split(command) if isinstance(command, str) else list(command)
+    except ValueError as err:
+        raise ValueError(f"cannot split evaluator command line {command!r}: {err}") from None
+    if not argv:
+        raise ValueError(f"evaluator command line {command!r} names no program")
+    return argv
+
+
 class ExternalEvaluator:
     """Client for a mask-scoring child process.
 
     Protocol over stdin/stdout, UTF-8, one line per message:
     we send "HELLO EQFS 1 <n>" and expect "READY"; each "EVAL <mask>" is
     answered by "OK <accuracy>" or "ERR <message>", in request order;
-    "QUIT" ends the session.  Calling the evaluator sends one request and
-    waits for its reply; evaluate_many() pipelines, writing up to WINDOW
-    requests before it reads their replies, so a server that answers each
-    line before it reads the next serves both.  The process is reused for
-    every mask of a run.  Replies are read on the calling thread, waiting
-    on the pipe with select(), so this client needs a POSIX system.
+    "QUIT" ends the session.  evaluate_many() pipelines, writing up to
+    WINDOW requests before it reads their replies, so a server that answers
+    each line before it reads the next serves it; calling the evaluator on
+    one mask is a batch of one.  The process is reused for every mask of a
+    run.  Replies are read on the calling thread, waiting on the pipe with
+    select(), so this client needs a POSIX system.
     """
 
     def __init__(self, command: str | list[str], n: int, timeout: float = 60.0):
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
+        try:
+            argv = _argv(command)
+        except ValueError as err:
+            raise EvaluatorError(str(err)) from None
         self.n = n
         self._timeout = timeout
         self._window = max(1, min(WINDOW, _SMALLEST_PIPE // len(f"EVAL {'0' * n}\n")))
@@ -182,7 +187,7 @@ class ExternalEvaluator:
             self._proc = subprocess.Popen(
                 argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE
             )
-        except OSError as err:
+        except (OSError, ValueError) as err:  # ValueError: a NUL byte in an argument
             raise EvaluatorError(f"cannot launch evaluator {argv!r}: {err}") from err
         try:
             self._send(f"HELLO EQFS 1 {n}")
@@ -225,46 +230,38 @@ class ExternalEvaluator:
         return line
 
     def __call__(self, mask: str) -> float:
-        validate_mask(mask, self.n)
-        self._send(f"EVAL {mask}")
-        return _accuracy(self._receive())
+        return self.evaluate_many([mask])[0]
 
     def evaluate_many(self, masks: list[str]) -> list[float]:
         """Accuracies of `masks`, in order, up to WINDOW requests in flight.
 
         Every mask is validated before anything is sent.  A failed request
-        raises FitnessError naming its mask, with the text ``ev(mask)``
-        would have raised; a window's replies are all read before any is
-        parsed, so an ERR reply leaves the stream in step.
+        raises FitnessError naming the first mask left without an accuracy.
+        A window's replies are all read before any is parsed, so an ERR
+        reply leaves the stream in step, and an earlier mask's bad reply is
+        the failure reported, as it would be one request at a time.
         """
         for mask in masks:
             validate_mask(mask, self.n)
         values: list[float] = []
-        for start in range(0, len(masks), self._window):
-            window = masks[start : start + self._window]
-            try:
+        try:
+            for start in range(0, len(masks), self._window):
+                window = masks[start : start + self._window]
                 self._send("\n".join(f"EVAL {mask}" for mask in window))
-            except EvaluatorError as err:
-                raise FitnessError(f"evaluator failed: {err}", mask=window[0]) from err
-            lines: list[bytes] = []
-            lost = None  # why the reply to window[len(lines)] never came
-            for _ in window:
-                try:
-                    lines.append(self._receive())
-                except EvaluatorError as err:
-                    lost = err
-                    break
-            # The replies that came are checked first: an earlier mask's
-            # bad reply is the failure one request at a time would report.
-            for mask, line in zip(window, lines):
-                try:
+                lines: list[bytes] = []
+                lost = None  # why the reply to window[len(lines)] never came
+                for _ in window:
+                    try:
+                        lines.append(self._receive())
+                    except EvaluatorError as err:
+                        lost = err
+                        break
+                for line in lines:
                     values.append(_accuracy(line))
-                except EvaluatorError as err:
-                    raise FitnessError(f"evaluator failed: {err}", mask=mask) from err
-            if lost is not None:
-                raise FitnessError(
-                    f"evaluator failed: {lost}", mask=window[len(lines)]
-                ) from lost
+                if lost is not None:
+                    raise lost
+        except EvaluatorError as err:
+            raise FitnessError(f"evaluator failed: {err}", mask=masks[len(values)]) from err
         return values
 
     def close(self) -> None:

@@ -29,11 +29,11 @@ class EvaluatorError(QfselectError):
     """An accuracy evaluator failed (protocol violation, timeout, bad value)."""
 
 
-class FitnessError(QfselectError):
-    """Objective evaluation failed for a specific mask.
+class FitnessError(EvaluatorError):
+    """An evaluator failure that names the mask it failed on.
 
-    The offending mask is kept on the exception, and named in its message,
-    so callers can report which feature combination broke the evaluator.
+    The mask is kept on the exception, and named in its message, so
+    callers can report which feature combination broke the evaluator.
     """
 
     def __init__(self, message: str, mask: str):

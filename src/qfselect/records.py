@@ -176,6 +176,8 @@ def write_json(value, path: str | Path) -> None:
         data = dumps_canonical(value).encode("utf-8")
     except UnicodeEncodeError as err:
         raise RecordError(f"cannot write {path} as UTF-8: {err}") from None
+    except (ValueError, RecursionError) as err:  # an int past the digit limit; deep nesting
+        raise RecordError(f"cannot write {path}: {err}") from None
     try:
         Path(path).write_bytes(data)
     except OSError as err:

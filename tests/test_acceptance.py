@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from qfselect.classifier import EvaluatorSpec, evaluate, make_evaluator
+from qfselect.classifier import EvaluatorSpec, make_evaluator
 from qfselect.cli import main
 from qfselect.dataset import Dataset, load_csv, stratified_split, wine_csv_path
 from qfselect.evolution import EvolutionConfig, evolve
@@ -50,9 +50,8 @@ def wine_runs():
     """Ten wine runs sharing one split: linear SVM, K=12, m=64."""
     data = load_csv(wine_csv_path(), "class")
     split = stratified_split(data, 0.2, seed=WINE_SEED)
-    spec = EvaluatorSpec()
-    baseline = evaluate("1" * data.n_features, split, spec)
-    evaluator = make_evaluator(spec, split)
+    evaluator = make_evaluator(EvaluatorSpec(), split)
+    baseline = evaluator("1" * data.n_features)
     started = time.perf_counter()
     records = [
         evolve(

@@ -15,7 +15,6 @@ from qfselect.classifier import (
     EvaluatorSpec,
     ExternalEvaluator,
     _standardized,
-    evaluate,
     make_evaluator,
 )
 from qfselect.dataset import SplitDataset, load_csv, stratified_split, wine_csv_path
@@ -87,8 +86,9 @@ class TestEvaluatorSpec:
             EvaluatorSpec(C=0.0)
         with pytest.raises(ValueError, match="epochs"):
             EvaluatorSpec(epochs=0)
-        with pytest.raises(ValueError, match="command"):
-            EvaluatorSpec(kind="external")
+        for command in (None, "", "   ", "'x"):
+            with pytest.raises(ValueError, match="command line"):
+                EvaluatorSpec(kind="external", external_cmd=command)
         with pytest.raises(ValueError, match="timeout"):
             EvaluatorSpec(timeout=0.0)
         for value in (float("inf"), float("nan")):
@@ -158,18 +158,18 @@ class TestEvaluate:
             np.zeros((10, 3)), train_y, np.zeros((10, 3)), test_y
         )
         for kind in ("linear-svm", "nearest-centroid"):
-            assert evaluate("000", split, EvaluatorSpec(kind=kind)) == pytest.approx(0.7)
+            assert make_evaluator(EvaluatorSpec(kind=kind), split)("000") == pytest.approx(0.7)
 
     def test_separable_blobs_full_mask(self):
         split = two_blob_split()
         assert brute_force_separable(split.train_features, split.train_labels)
-        assert evaluate("11", split, EvaluatorSpec()) == 1.0
-        assert evaluate("11", split, EvaluatorSpec(kind="nearest-centroid")) == 1.0
+        assert make_evaluator(EvaluatorSpec(), split)("11") == 1.0
+        assert make_evaluator(EvaluatorSpec(kind="nearest-centroid"), split)("11") == 1.0
 
     def test_determinism(self):
         split = two_blob_split(seed=3, spread=0.9)
         spec = EvaluatorSpec()
-        values = {evaluate("11", split, spec) for _ in range(5)}
+        values = {make_evaluator(spec, split)("11") for _ in range(5)}
         assert len(values) == 1
 
     def test_permuting_unselected_columns_is_invisible(self):
@@ -185,7 +185,7 @@ class TestEvaluate:
         scrambled = make_split(train_x[:, perm], train_y, test_x[:, perm], test_y)
         for kind in ("linear-svm", "nearest-centroid"):
             spec = EvaluatorSpec(kind=kind)
-            assert evaluate(mask, base, spec) == evaluate(mask, scrambled, spec)
+            assert make_evaluator(spec, base)(mask) == make_evaluator(spec, scrambled)(mask)
 
     def test_label_copy_feature_scores_perfectly(self):
         rng = np.random.default_rng(2)
@@ -198,9 +198,9 @@ class TestEvaluate:
             [rng.normal(size=20), test_y.astype(float), rng.normal(size=20)]
         )
         split = make_split(train_x, train_y, test_x, test_y)
-        spec = EvaluatorSpec(kind="nearest-centroid")
+        ev = make_evaluator(EvaluatorSpec(kind="nearest-centroid"), split)
         for mask in ("010", "011", "110", "111"):
-            assert evaluate(mask, split, spec) == 1.0
+            assert ev(mask) == 1.0
 
     def test_zero_variance_column_centered_only(self):
         train_x = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [4.0, 5.0]])
@@ -210,7 +210,7 @@ class TestEvaluate:
         assert out[:, 0].std() == pytest.approx(1.0)
         np.testing.assert_array_equal(out[:, 1], 0.0)
         # Still evaluable: the constant column adds nothing but breaks nothing.
-        assert 0.0 <= evaluate("11", split, EvaluatorSpec()) <= 1.0
+        assert 0.0 <= make_evaluator(EvaluatorSpec(), split)("11") <= 1.0
 
     def test_standardization_uses_train_statistics(self):
         rng = np.random.default_rng(9)
@@ -222,13 +222,7 @@ class TestEvaluate:
     def test_mask_width_mismatch(self):
         split = two_blob_split()
         with pytest.raises(MaskError):
-            evaluate("111", split, EvaluatorSpec())
-
-    def test_external_kind_needs_process(self):
-        split = two_blob_split()
-        spec = EvaluatorSpec(kind="external", external_cmd="true")
-        with pytest.raises(EvaluatorError, match="make_evaluator"):
-            evaluate("11", split, spec)
+            make_evaluator(EvaluatorSpec(), split)("111")
 
 
 WINE_SPLIT = stratified_split(load_csv(wine_csv_path(), "class"), 0.2, seed=21)
@@ -314,7 +308,7 @@ class TestEvaluateMany:
         with mock.patch.object(classifier, "BATCH_MASKS", chunk):
             got = ev.evaluate_many(masks)
         assert got == [reference_accuracy(mask, WINE_SPLIT, kind) for mask in masks]
-        assert got == [evaluate(mask, WINE_SPLIT, EvaluatorSpec(kind=kind)) for mask in masks]
+        assert got == [ev(mask) for mask in masks]
 
     def test_single_class_training_scores_majority(self):
         split = make_split(
@@ -322,7 +316,7 @@ class TestEvaluateMany:
             [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [1, 0, 1, 0],
         )
         ev = make_evaluator(EvaluatorSpec(), split)
-        assert evaluate("11", split, EvaluatorSpec()) == 0.5
+        assert ev("11") == 0.5
         assert ev.evaluate_many(["11", "10", "00"]) == [0.5, 0.5, 0.5]
 
     def test_bad_mask_rejected(self):
@@ -456,6 +450,28 @@ class TestExternalEvaluator:
     def test_unlaunchable_command(self):
         with pytest.raises(EvaluatorError, match="launch"):
             ExternalEvaluator("/no/such/binary-xyz", n=3)
+        with pytest.raises(EvaluatorError, match="launch"):
+            ExternalEvaluator([sys.executable, "-c", "\0"], n=3)
+
+    @pytest.mark.parametrize("command", ["'x", "   ", []])
+    def test_command_that_names_no_program(self, command):
+        with pytest.raises(EvaluatorError, match="evaluator command line"):
+            ExternalEvaluator(command, n=3)
+
+    @pytest.mark.parametrize(
+        "mode", ["err", "range", "malformed", "die", "bad-utf8", "close-stdout", "slow"]
+    )
+    def test_a_failing_call_names_its_mask(self, mode):
+        # ev(mask) is a batch of one: it raises what evaluate_many([mask]) does.
+        with ExternalEvaluator(stub_cmd(mode), n=3, timeout=0.5) as proc:
+            with pytest.raises(FitnessError) as one:
+                proc("101")
+        with ExternalEvaluator(stub_cmd(mode), n=3, timeout=0.5) as proc:
+            with pytest.raises(FitnessError) as batch:
+                proc.evaluate_many(["101"])
+        assert one.value.mask == "101"
+        assert isinstance(one.value, EvaluatorError)
+        assert str(one.value) == str(batch.value)
 
     @pytest.mark.parametrize("bad", ["011\n111", "01", "0111", "0 1"])
     def test_bad_mask_is_refused_before_it_is_sent(self, bad):

@@ -229,6 +229,21 @@ class TestRun:
         argv = run_args(toy_csv, tmp_path / "runs", evaluator="external")
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("command", ["'x", "   "])
+    def test_external_command_naming_no_program_is_usage_error(
+        self, tmp_path, capsys, command
+    ):
+        # The data file does not exist: reading it would exit 1, not 2.
+        argv = [
+            "run", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "runs"),
+            "--evaluator", "external", "--external-cmd", command,
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "evaluator command line" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
     def test_unknown_flag_is_usage_error(self, toy_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(run_args(toy_csv, tmp_path / "runs") + ["--turbo"])
@@ -265,6 +280,23 @@ class TestOracle:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "b094b2f3bb316c04622a0171abb0c757c33cd4bb9e093478ca11eaa02f7d1cdf"
         )
+
+    def test_external_evaluator_scores_every_mask(self, tmp_path):
+        # 2^7 masks: two ledger chunks of 64, each sent as two windows of 32.
+        data = tmp_path / "planted.csv"
+        write_planted_csv(data, n=7, rows=40, informative=(0, 3), seed=6)
+        out = tmp_path / "oracle.json"
+        argv = [
+            "oracle", "--data", str(data), "--label", "label", "--out", str(out),
+            "--evaluator", "external", "--external-cmd", f"{STUB_CMD} ones-fraction",
+        ]
+        assert main(argv) == 0
+        record = read_oracle_record(out)
+        masks = [cli.index_to_mask(index, 7) for index in range(2**7)]
+        assert [e["mask"] for e in record.entries] == masks
+        assert [e["accuracy"] for e in record.entries] == [m.count("1") / 7 for m in masks]
+        assert record.best_mask == "1111111"
+        assert record.best_accuracy == 1.0
 
     def test_single_feature_dataset(self, tmp_path):
         data = tmp_path / "one.csv"

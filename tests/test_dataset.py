@@ -227,6 +227,11 @@ class TestStratifiedSplit:
             with pytest.raises(DatasetError, match="test_fraction"):
                 stratified_split(data, frac, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DatasetError, match="seed"):
+            stratified_split(toy_dataset([5, 5]), 0.2, seed=seed)
+
     def test_empty_side_rejected(self):
         with pytest.raises(DatasetError, match="train set"):
             stratified_split(toy_dataset([2, 2]), 0.99, seed=0)

@@ -196,6 +196,13 @@ class TestCanonicalJson:
         assert dumps_canonical(record) == dumps_canonical(record)
 
 
+def nested_list(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 class TestRunRecordRoundTrip:
     def test_identity(self, tmp_path):
         record = sample_record()
@@ -226,6 +233,17 @@ class TestRunRecordRoundTrip:
         path = tmp_path / "surrogate.json"
         with pytest.raises(RecordError, match="UTF-8"):
             write_json({"a": "\ud800"}, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "value", [10**5000, nested_list(2000)], ids=["int-past-digit-limit", "nested-2000-deep"]
+    )
+    def test_unwritable_value_writes_nothing(self, tmp_path, value):
+        from qfselect.records import write_json
+
+        path = tmp_path / "unwritable.json"
+        with pytest.raises(RecordError, match="cannot write"):
+            write_json({"a": value}, path)
         assert not path.exists()
 
     def test_missing_file(self, tmp_path):

@@ -11,6 +11,7 @@ single mask scores a batch of one.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import select
 import shlex
@@ -40,12 +41,18 @@ class EvaluatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"evaluator kind must be one of {KINDS}, got {self.kind!r}")
+        for name in ("C", "timeout"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.C) and self.C > 0):
             raise ValueError(f"C must be positive and finite, got {self.C}")
         if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
             raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.external_cmd is not None and not isinstance(self.external_cmd, str):
+            raise ValueError(f"external_cmd must be a string, got {self.external_cmd!r}")
         if self.kind == "external":
             _argv(self.external_cmd or "")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
@@ -71,38 +78,61 @@ def _train_ovr(
 
     `keep` is (B, n_features) of 0/1: model b sees only the columns row b
     keeps.  Weights start at zero and a dropped column's gradient is
-    zeroed, so its weight stays exactly 0 and model b is the model trained
-    on its kept columns alone.  Returns (classes, weights, biases) with
-    weights (B * n_classes, n_features) and model b's classes at rows
+    zeroed, so its weight stays exactly +0.0 and model b is the model
+    trained on its kept columns alone.  Returns (classes, weights, biases)
+    with weights (B * n_classes, n_features) and model b's classes at rows
     b * n_classes onwards.
+
+    Each model's weights and bias are one row of `params`, (models,
+    n_features + 1), and the features carry a last column of ones, so both
+    matrix products take the bias in with the weights.  The bias column's
+    decay is 0, so the bias is not regularized.  An epoch is 11 numpy calls into buffers
+    allocated once; at the batch sizes a run makes, the cost of each call,
+    not the arithmetic, sets the time.
     """
     classes = np.unique(labels)
     if classes.size < 2:
         raise DegenerateTrainingError(
             f"training data has a single class ({classes[0]!r})"
         )
-    n_rows = features.shape[0]
+    n_rows, n_features = features.shape
     batch = keep.shape[0]
     targets = np.tile(np.where(labels[:, None] == classes[None, :], 1.0, -1.0), batch)
-    keep = np.repeat(keep, classes.size, axis=0)
-    weights = np.zeros((batch * classes.size, features.shape[1]))
-    biases = np.zeros(batch * classes.size)
-    ones = np.ones(n_rows)
-    # `active` holds -1, 0 and +1 only, so `ones @ active` sums integers no
-    # larger than n_rows: exact in any summation order.  `targets * False`
-    # is -0.0 where the target is -1; a signed zero cannot reach the weights
-    # or biases, since w - (+-0) = w and neither array ever holds -0.0.
+    models = targets.shape[1]
+    design = np.hstack([features, np.ones((n_rows, 1))])
+    keep1 = np.hstack([np.repeat(keep, classes.size, axis=0), np.ones((models, 1))])
+    decay = np.full(n_features + 1, float(C))
+    decay[n_features] = 0.0
+    params = np.zeros((models, n_features + 1))
+    margins = np.empty((n_rows, models))
+    grad = np.empty_like(params)
+    step = np.empty_like(params)
+    # The weights and biases are bit for bit those of the plain form (a
+    # product, a bias broadcast, a separate bias gradient), for three
+    # reasons.  The backward product's ones column sums the active entries,
+    # integers in {-1, 0, 1}, which is exact in any order.  The bias step is
+    # 0*b - s/n where the plain form takes -s/n; the two differ at most in
+    # the sign of a zero.  The forward product adds the bias as the last
+    # term of each dot product, as the broadcast did; that holds because
+    # the BLAS gemm kernel keeps one accumulator per output, which the
+    # reference test checks.  Signed zeros (an inactive entry times a
+    # target of -1 is -0.0) cannot reach `params`: p - (+-0) = p, and
+    # `params` never holds -0.0.  With a single feature column the plain
+    # form's weight gradient is a matrix-vector product, summed in another
+    # order, so there the two differ in the last bits.
     for t in range(1, epochs + 1):
-        margins = features @ weights.T
-        margins += biases
+        np.matmul(design, params.T, out=margins)
         margins *= targets
-        active = targets * (margins < 1.0)
-        grad_w = C * weights - keep * (active.T @ features) / n_rows
-        grad_b = -(ones @ active) / n_rows
-        lr = 1.0 / (C * t)
-        weights -= lr * grad_w
-        biases -= lr * grad_b
-    return classes, weights, biases
+        np.less(margins, 1.0, out=margins)
+        margins *= targets  # now the active entries: the target where the hinge is active
+        np.matmul(margins.T, design, out=grad)
+        grad *= keep1
+        grad /= n_rows
+        np.multiply(params, decay, out=step)
+        step -= grad
+        step *= 1.0 / (C * t)
+        params -= step
+    return classes, params[:, :n_features], params[:, n_features]
 
 
 def _standardized(rows: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:

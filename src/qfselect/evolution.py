@@ -81,6 +81,8 @@ class EvolutionConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.mutation, MutationConfig):
+            raise ValueError(f"mutation must be a MutationConfig, got {self.mutation!r}")
 
     def to_dict(self) -> dict:
         """Fields in declaration order, `lambda_` written as "lambda"."""

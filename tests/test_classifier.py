@@ -101,6 +101,29 @@ class TestEvaluatorSpec:
                 EvaluatorSpec(epochs=value)
         assert EvaluatorSpec(epochs=np.int64(3)).epochs == 3
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("C", True, "C must be a real number"),
+            ("C", np.True_, "C must be a real number"),
+            ("C", "1", "C must be a real number"),
+            ("C", None, "C must be a real number"),
+            ("C", 1j, "C must be a real number"),
+            ("timeout", False, "timeout must be a real number"),
+            ("timeout", "5", "timeout must be a real number"),
+            ("external_cmd", ["python3", "server.py"], "external_cmd must be a string"),
+            ("external_cmd", b"python3", "external_cmd must be a string"),
+        ],
+    )
+    def test_refuses_a_field_of_the_wrong_type(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            EvaluatorSpec(**{field: value})
+
+    def test_keeps_an_integer_C_as_given(self):
+        # Records write the config as given: an int C stays an int.
+        assert EvaluatorSpec(C=1).C == 1 and type(EvaluatorSpec(C=1).C) is int
+        assert EvaluatorSpec(C=np.float64(0.5), timeout=5).timeout == 5
+
 
 def train_one(x, y, C=1.0, epochs=200):
     """`_train_ovr` fitting one model on every column of `x`."""
@@ -262,10 +285,17 @@ def _kernel_inputs(data):
     return _standardized(data.train_features, data.train_mean, data.train_std), data.train_labels
 
 
+def _wide_split():
+    features, labels = planted_rows(n=48, rows=80, informative=(5, 17, 40), seed=8)
+    return make_split(features[:60], labels[:60], features[60:], labels[60:])
+
+
 KERNEL_INPUTS = {
     "wine": _kernel_inputs(WINE_SPLIT),
     # The constant column standardizes to all zeros: the signed-zero path.
     "two-class": _kernel_inputs(_two_class_split_with_a_constant_column()),
+    # Longer dot products than wine's 14 terms in both matrix products.
+    "wide": _kernel_inputs(_wide_split()),
 }
 
 
@@ -293,6 +323,43 @@ class TestTrainOvr:
         features, labels = KERNEL_INPUTS["two-class"]
         assert np.unique(labels).size == 2
         assert np.all(features[:, 3] == 0.0)
+
+    def test_wide_split_has_48_columns(self):
+        features, labels = KERNEL_INPUTS["wide"]
+        assert features.shape == (60, 48)
+        assert np.unique(labels).size == 2
+
+    @pytest.mark.parametrize("split", sorted(KERNEL_INPUTS))
+    def test_dropped_columns_stay_positive_zero(self, split):
+        features, labels = KERNEL_INPUTS[split]
+        keep = np.random.default_rng(3).random((9, features.shape[1])) < 0.5
+        classes, weights, _ = classifier._train_ovr(features, labels, 1.0, 200, keep)
+        dropped = ~np.repeat(keep, classes.size, axis=0)
+        assert dropped.any()
+        assert np.all(weights[dropped] == 0.0)
+        assert not np.any(np.signbit(weights[dropped]))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_column_split_predicts_as_reference(self, seed):
+        # With a single feature column the reference's weight gradient,
+        # `active.T @ features`, is a matrix-vector product that BLAS sums
+        # in another order than the kernel's two-column product, so the
+        # weights may differ in their last bits.  The predictions may not.
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(60, 1))
+        labels = np.digitize(x[:, 0] + rng.normal(scale=0.5, size=60), [-0.5, 0.5])
+        labels = labels % (2 + seed % 2)  # two or three classes
+        train_x, train_y, test_x = x[:40], labels[:40], x[40:]
+        keep = np.ones((1, 1), dtype=bool)
+        classes, weights, biases = classifier._train_ovr(train_x, train_y, 1.0, 200, keep)
+        ref_classes, ref_weights, ref_biases = reference_train_ovr(
+            train_x, train_y, 1.0, 200, keep
+        )
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(biases, ref_biases, rtol=0, atol=1e-15)
+        predictions = classes[np.argmax(test_x @ weights.T + biases, axis=1)]
+        expected = ref_classes[np.argmax(test_x @ ref_weights.T + ref_biases, axis=1)]
+        assert np.array_equal(predictions, expected)
 
 
 class TestEvaluateMany:

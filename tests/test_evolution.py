@@ -321,3 +321,8 @@ class TestEvolve:
     def test_config_refuses_non_integer_fields(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             EvolutionConfig(**{"n": 3, field: value})
+
+    @pytest.mark.parametrize("value", [None, {}, "default"])
+    def test_config_refuses_a_mutation_that_is_not_a_mutation_config(self, value):
+        with pytest.raises(ValueError, match="mutation must be a MutationConfig"):
+            EvolutionConfig(n=3, mutation=value)

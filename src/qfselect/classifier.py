@@ -59,9 +59,9 @@ class EvaluatorSpec:
             raise ValueError(f"timeout must be positive and finite, got {self.timeout}")
 
 
-# Masks trained together in one batched SVM fit; bounds its score matrices
-# at (train rows) x (BATCH_MASKS * classes).
-BATCH_MASKS = 64
+# Masks trained together in one batched SVM fit; bounds its hinge buffer at
+# classes x (train rows) x BATCH_MASKS.
+BATCH_MASKS = 128
 
 
 def _train_ovr(
@@ -83,12 +83,15 @@ def _train_ovr(
     with weights (B * n_classes, n_features) and model b's classes at rows
     b * n_classes onwards.
 
-    Each model's weights and bias are one row of `params`, (models,
-    n_features + 1), and the features carry a last column of ones, so both
-    matrix products take the bias in with the weights.  The bias column's
-    decay is 0, so the bias is not regularized.  An epoch is 11 numpy calls into buffers
-    allocated once; at the batch sizes a run makes, the cost of each call,
-    not the arithmetic, sets the time.
+    The parameters are class-major: `params[c]`, (n_features + 1, B), holds
+    class c's weights and bias for every mask, one column a mask.  Class c
+    trains on its own signed design, `design[c] = y_c * [features | 1]`
+    with y_c = +1 on class c's rows and -1 elsewhere, so one product gives
+    every hinge argument y * margin, and the product of the transposed
+    design with the 0/1 hinge indicator gives the gradient.  The bias
+    row's decay is 0, so the bias is not regularized.  An epoch is 9 numpy
+    calls into buffers allocated once; at the batch sizes a run makes, the
+    cost of each call, not the arithmetic, sets the time.
     """
     classes = np.unique(labels)
     if classes.size < 2:
@@ -97,42 +100,48 @@ def _train_ovr(
         )
     n_rows, n_features = features.shape
     batch = keep.shape[0]
-    targets = np.tile(np.where(labels[:, None] == classes[None, :], 1.0, -1.0), batch)
-    models = targets.shape[1]
-    design = np.hstack([features, np.ones((n_rows, 1))])
-    keep1 = np.hstack([np.repeat(keep, classes.size, axis=0), np.ones((models, 1))])
-    decay = np.full(n_features + 1, float(C))
+    # A one-column product goes to BLAS gemv, which sums in another order
+    # than gemm; a batch of one is fitted as two equal columns instead.
+    columns = max(batch, 2)
+    targets = np.where(labels[None, :] == classes[:, None], 1.0, -1.0)
+    design = targets[:, :, None] * np.hstack([features, np.ones((n_rows, 1))])
+    keep1 = np.ones((n_features + 1, columns))
+    keep1[:n_features] = keep.T
+    decay = np.full((n_features + 1, 1), float(C))
     decay[n_features] = 0.0
-    params = np.zeros((models, n_features + 1))
-    margins = np.empty((n_rows, models))
+    params = np.zeros((classes.size, n_features + 1, columns))
+    hinge = np.empty((classes.size, n_rows, columns))
     grad = np.empty_like(params)
     step = np.empty_like(params)
     # The weights and biases are bit for bit those of the plain form (a
-    # product, a bias broadcast, a separate bias gradient), for three
-    # reasons.  The backward product's ones column sums the active entries,
-    # integers in {-1, 0, 1}, which is exact in any order.  The bias step is
-    # 0*b - s/n where the plain form takes -s/n; the two differ at most in
-    # the sign of a zero.  The forward product adds the bias as the last
-    # term of each dot product, as the broadcast did; that holds because
-    # the BLAS gemm kernel keeps one accumulator per output, which the
-    # reference test checks.  Signed zeros (an inactive entry times a
-    # target of -1 is -0.0) cannot reach `params`: p - (+-0) = p, and
-    # `params` never holds -0.0.  With a single feature column the plain
-    # form's weight gradient is a matrix-vector product, summed in another
-    # order, so there the two differ in the last bits.
+    # product, a bias broadcast, a target multiply, a separate bias
+    # gradient), for four reasons.  Negation is exact and rounding is
+    # symmetric in sign, so each term (y*x)*w of the forward product is
+    # y*(x*w) and its sum is y times the plain margin.  Each term of the
+    # backward product, (y*x)*a with a in {0, 1}, is the plain form's
+    # (y*a)*x, signed zeros included.  The bias enters the forward product
+    # as the last term of each dot product, as the broadcast did; that holds
+    # because the BLAS gemm kernel keeps one accumulator per output, which
+    # the reference test checks.  The bias row of the backward product sums
+    # integers in {-1, 0, 1}, exact in any order, and the bias step is
+    # 0*b - s/n where the plain form takes -s/n, which differ at most in the
+    # sign of a zero.  Signed zeros cannot reach `params`: p - (+-0) = p,
+    # and `params` never holds -0.0.  With a single feature column the
+    # plain form's weight gradient is a matrix-vector product, summed in
+    # another order, so there the two differ in the last bits.
     for t in range(1, epochs + 1):
-        np.matmul(design, params.T, out=margins)
-        margins *= targets
-        np.less(margins, 1.0, out=margins)
-        margins *= targets  # now the active entries: the target where the hinge is active
-        np.matmul(margins.T, design, out=grad)
+        np.matmul(design, params, out=hinge)
+        np.less(hinge, 1.0, out=hinge)  # now 1 where the hinge is active
+        np.matmul(design.transpose(0, 2, 1), hinge, out=grad)
         grad *= keep1
         grad /= n_rows
         np.multiply(params, decay, out=step)
         step -= grad
         step *= 1.0 / (C * t)
         params -= step
-    return classes, params[:, :n_features], params[:, n_features]
+    # Back to one row a model, mask b's classes at rows b * n_classes onwards.
+    models = params[:, :, :batch].transpose(2, 0, 1).reshape(-1, n_features + 1)
+    return classes, models[:, :n_features], models[:, n_features]
 
 
 def _standardized(rows: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ fitness literally monotone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -42,6 +43,10 @@ class MutationConfig:
     sigma_modify: float = math.pi / 10
 
     def __post_init__(self) -> None:
+        for name in ("p_insert", "p_modify", "p_delete", "p_swap", "sigma_modify"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         probs = (self.p_insert, self.p_modify, self.p_delete, self.p_swap)
         if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ValueError(f"mutation probabilities must lie in [0, 1], got {probs}")

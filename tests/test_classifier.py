@@ -303,7 +303,7 @@ class TestTrainOvr:
     @settings(max_examples=100, deadline=None)
     @given(
         split=st.sampled_from(sorted(KERNEL_INPUTS)),
-        batch=st.integers(1, 64),
+        batch=st.integers(1, classifier.BATCH_MASKS),
         C=st.sampled_from([0.25, 1.0, 3.0]),
         epochs=st.sampled_from([1, 2, 200]),
         seed=st.integers(0, 2**32 - 1),
@@ -318,6 +318,20 @@ class TestTrainOvr:
         assert np.array_equal(classes, ref_classes)
         assert weights.tobytes() == ref_weights.tobytes()
         assert biases.tobytes() == ref_biases.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("split", sorted(KERNEL_INPUTS))
+    def test_smallest_batches_bit_identical_to_reference(self, split, batch):
+        # A one-column product would go to BLAS gemv, which sums in another
+        # order than gemm, so a batch of one must be fitted as two columns.
+        features, labels = KERNEL_INPUTS[split]
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            keep = rng.random((batch, features.shape[1])) < 0.5
+            _, weights, biases = classifier._train_ovr(features, labels, 1.0, 200, keep)
+            _, ref_weights, ref_biases = reference_train_ovr(features, labels, 1.0, 200, keep)
+            assert weights.tobytes() == ref_weights.tobytes()
+            assert biases.tobytes() == ref_biases.tobytes()
 
     def test_two_class_split_has_a_zero_column(self):
         features, labels = KERNEL_INPUTS["two-class"]
@@ -376,6 +390,20 @@ class TestEvaluateMany:
             got = ev.evaluate_many(masks)
         assert got == [reference_accuracy(mask, WINE_SPLIT, kind) for mask in masks]
         assert got == [ev(mask) for mask in masks]
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_accuracies_do_not_depend_on_the_batch_size(self, seed):
+        # Running the masks of several runs, or of a whole oracle chunk, in
+        # one fit relies on each mask's accuracy being the same in any batch.
+        rows = np.random.default_rng(seed).random((256, 13)) < 0.5
+        masks = ["".join("1" if kept else "0" for kept in row) for row in rows]
+        ev = make_evaluator(EvaluatorSpec(), WINE_SPLIT)
+        results = []
+        for chunk in (128, 9, 1):
+            with mock.patch.object(classifier, "BATCH_MASKS", chunk):
+                results.append(ev.evaluate_many(masks))
+        assert results[0] == results[1] == results[2]
 
     def test_single_class_training_scores_majority(self):
         split = make_split(

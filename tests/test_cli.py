@@ -282,9 +282,9 @@ class TestOracle:
         )
 
     def test_external_evaluator_scores_every_mask(self, tmp_path):
-        # 2^7 masks: two ledger chunks of 64, each sent as two windows of 32.
+        # 2^8 masks: two ledger chunks of 128, each sent as four windows of 32.
         data = tmp_path / "planted.csv"
-        write_planted_csv(data, n=7, rows=40, informative=(0, 3), seed=6)
+        write_planted_csv(data, n=8, rows=40, informative=(0, 3), seed=6)
         out = tmp_path / "oracle.json"
         argv = [
             "oracle", "--data", str(data), "--label", "label", "--out", str(out),
@@ -292,10 +292,10 @@ class TestOracle:
         ]
         assert main(argv) == 0
         record = read_oracle_record(out)
-        masks = [cli.index_to_mask(index, 7) for index in range(2**7)]
+        masks = [cli.index_to_mask(index, 8) for index in range(2**8)]
         assert [e["mask"] for e in record.entries] == masks
-        assert [e["accuracy"] for e in record.entries] == [m.count("1") / 7 for m in masks]
-        assert record.best_mask == "1111111"
+        assert [e["accuracy"] for e in record.entries] == [m.count("1") / 8 for m in masks]
+        assert record.best_mask == "11111111"
         assert record.best_accuracy == 1.0
 
     def test_single_feature_dataset(self, tmp_path):

@@ -75,6 +75,21 @@ class TestMutationConfig:
         with pytest.raises(ValueError, match="sigma"):
             MutationConfig(sigma_modify=sigma)
 
+    @pytest.mark.parametrize(
+        "name", ["p_insert", "p_modify", "p_delete", "p_swap", "sigma_modify"]
+    )
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, 1j, [0.5]])
+    def test_field_must_be_a_real_number(self, name, value):
+        # A bool would be written into a record's config as true or false.
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            MutationConfig(**{name: value})
+
+    def test_int_probabilities_kept_as_given(self):
+        config = MutationConfig(p_insert=1, p_modify=0, p_delete=0, p_swap=0, sigma_modify=2)
+        assert config.probabilities == (1, 0, 0, 0)
+        assert all(type(p) is int for p in config.probabilities)
+        assert type(config.sigma_modify) is int
+
 
 class TestMutate:
     def test_exactly_one_mutation(self):

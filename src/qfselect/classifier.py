@@ -150,6 +150,23 @@ def _standardized(rows: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.nda
     return (rows - mean) / scale
 
 
+def _centroid_table(
+    train_x: np.ndarray, labels: np.ndarray, test_x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classes and the (tests * classes, features) table of squared deltas.
+
+    Row t * classes + c holds (test_x[t, f] - centroid[c, f])**2 for every
+    feature f, the centroids being the full-width class means.  The
+    classes are the labels present, as np.unique would give them for these
+    dense labels; np.unique's first call imports numpy.ma, about 15 ms and
+    1 MiB of heap that making the evaluator does not need.
+    """
+    classes = np.flatnonzero(np.bincount(labels))
+    centroids = np.stack([train_x[labels == c].mean(axis=0) for c in classes])
+    deltas = test_x[:, None, :] - centroids[None, :, :]
+    return classes, (deltas * deltas).reshape(-1, train_x.shape[1])
+
+
 def _majority_accuracy(data: SplitDataset) -> float:
     majority = int(np.bincount(data.train_labels).argmax())
     return float(np.mean(data.test_labels == majority))
@@ -333,7 +350,10 @@ class _LocalEvaluator:
     The features are standardized once, by the training statistics, and
     evaluate_many() is the one scoring routine: a mask's model sees only
     the columns the mask keeps, the all-zero mask scores the majority
-    rule, and the SVM fits up to BATCH_MASKS masks together.  Calling the
+    rule, and both models score up to BATCH_MASKS masks together from
+    their bool keep-matrix.  The SVM fits the batch in one loop; the
+    nearest-centroid model sums a table of per-feature squared distances
+    over each mask's kept columns in one matrix product.  Calling the
     evaluator on one mask scores a batch of one.
     """
 
@@ -342,37 +362,38 @@ class _LocalEvaluator:
         self.data = data
         self._train_x = _standardized(data.train_features, data.train_mean, data.train_std)
         self._test_x = _standardized(data.test_features, data.train_mean, data.train_std)
+        self._majority = _majority_accuracy(data)
+        self._score = self._svm_accuracies
+        if spec.kind == "nearest-centroid":
+            self._classes, self._squares = _centroid_table(
+                self._train_x, data.train_labels, self._test_x
+            )
+            self._score = self._centroid_accuracies
 
     def __call__(self, mask: str) -> float:
         return self.evaluate_many([mask])[0]
 
     def evaluate_many(self, masks: list[str]) -> list[float]:
-        """Accuracies of `masks`, in order."""
+        """Accuracies of `masks`, in order, scored BATCH_MASKS at a time."""
         keep = mask_columns(masks, self.data.n_features)
-        accuracies = np.full(len(masks), _majority_accuracy(self.data))
+        accuracies = np.full(len(masks), self._majority)
         fitted = np.flatnonzero(keep.any(axis=1))
-        if self.spec.kind == "nearest-centroid":
-            for row in fitted:
-                accuracies[row] = self._centroid_accuracy(keep[row])
-            return accuracies.tolist()
         try:
             for start in range(0, fitted.size, BATCH_MASKS):
                 rows = fitted[start : start + BATCH_MASKS]
-                accuracies[rows] = self._svm_accuracies(keep[rows])
+                accuracies[rows] = self._score(keep[rows])
         except DegenerateTrainingError:
             pass  # single-class training data: every mask scores the majority rule
         return accuracies.tolist()
 
-    def _centroid_accuracy(self, keep: np.ndarray) -> float:
-        train_x, test_x = self._train_x[:, keep], self._test_x[:, keep]
-        labels = self.data.train_labels
-        classes = np.unique(labels)
-        centroids = np.stack([train_x[labels == c].mean(axis=0) for c in classes])
-        deltas = test_x[:, None, :] - centroids[None, :, :]
-        distances = np.einsum("tcf,tcf->tc", deltas, deltas)
+    def _centroid_accuracies(self, keep: np.ndarray) -> np.ndarray:
+        # A mask's centroids are the full-width ones restricted to its kept
+        # columns, so its squared distances are the table summed over them.
+        tests, classes = len(self._test_x), self._classes.size
+        distances = (self._squares @ keep.T).reshape(tests, classes, len(keep))
         # argmin takes the first minimum, so ties go to the lowest class.
-        predictions = classes[np.argmin(distances, axis=1)]
-        return float(np.mean(predictions == self.data.test_labels))
+        predictions = self._classes[np.argmin(distances, axis=1)]
+        return np.mean(predictions == self.data.test_labels[:, None], axis=0)
 
     def _svm_accuracies(self, keep: np.ndarray) -> np.ndarray:
         classes, weights, biases = _train_ovr(

@@ -9,6 +9,8 @@ fitness literally monotone.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
@@ -104,9 +106,21 @@ class Individual:
     birth_generation: int
 
 
+def _mutation_kind(rng: np.random.Generator, mutation: MutationConfig) -> str:
+    """The kind `rng.choice(4, p=mutation.probabilities)` draws, by its method.
+
+    That call searches one uniform (side "right") in the cumulative sum of
+    the probabilities divided by its last entry; this is the same draw from
+    the same stream, without the call's checks, at about a fifth of the cost.
+    """
+    cumulative = list(itertools.accumulate(map(float, mutation.probabilities)))
+    cumulative = [c / cumulative[-1] for c in cumulative]
+    return MUTATION_KINDS[bisect.bisect_right(cumulative, rng.random())]
+
+
 def mutate(circuit: Circuit, rng: np.random.Generator, mutation: MutationConfig) -> Circuit:
     """Apply exactly one mutation; inapplicable draws fall back to insert."""
-    kind = MUTATION_KINDS[rng.choice(4, p=mutation.probabilities)]
+    kind = _mutation_kind(rng, mutation)
     gates = list(circuit.gates)
     two_qubit_at = [i for i, g in enumerate(gates) if g.kind.n_qubits == 2]
 

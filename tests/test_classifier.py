@@ -391,19 +391,27 @@ class TestEvaluateMany:
         assert got == [reference_accuracy(mask, WINE_SPLIT, kind) for mask in masks]
         assert got == [ev(mask) for mask in masks]
 
+    @pytest.mark.parametrize("kind", ["linear-svm", "nearest-centroid"])
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_accuracies_do_not_depend_on_the_batch_size(self, seed):
+    def test_accuracies_do_not_depend_on_the_batch_size(self, kind, seed):
         # Running the masks of several runs, or of a whole oracle chunk, in
-        # one fit relies on each mask's accuracy being the same in any batch.
+        # one batch relies on each mask's accuracy being the same in any batch.
         rows = np.random.default_rng(seed).random((256, 13)) < 0.5
         masks = ["".join("1" if kept else "0" for kept in row) for row in rows]
-        ev = make_evaluator(EvaluatorSpec(), WINE_SPLIT)
+        ev = make_evaluator(EvaluatorSpec(kind=kind), WINE_SPLIT)
         results = []
         for chunk in (128, 9, 1):
             with mock.patch.object(classifier, "BATCH_MASKS", chunk):
                 results.append(ev.evaluate_many(masks))
         assert results[0] == results[1] == results[2]
+
+    def test_every_wine_mask_scores_as_the_reference_nearest_centroid(self):
+        # The batched table sums each mask's squared distances in another
+        # order than a model fitted on the kept columns alone.
+        masks = [format(index, "013b") for index in range(1, 1 << 13)]
+        got = make_evaluator(EvaluatorSpec(kind="nearest-centroid"), WINE_SPLIT).evaluate_many(masks)
+        assert got == [reference_accuracy(mask, WINE_SPLIT, "nearest-centroid") for mask in masks]
 
     def test_single_class_training_scores_majority(self):
         split = make_split(

@@ -156,6 +156,25 @@ class TestMutate:
         ):
             assert abs(counts[kind] / trials - expected) <= 0.02
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            MutationConfig(),
+            MutationConfig(p_insert=0.6, p_modify=0.0, p_delete=0.3, p_swap=0.1),
+            # Sums to 1 - 2**-53 in floats, so the normalization matters.
+            MutationConfig(p_insert=0.7, p_modify=0.1, p_delete=0.1, p_swap=0.1),
+        ],
+        ids=["default", "zero-modify", "inexact-sum"],
+    )
+    def test_kind_draw_is_the_draw_of_rng_choice(self, config):
+        # Records depend on both the kind drawn and the stream left behind.
+        for seed in range(2000):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                expected = evolution.MUTATION_KINDS[theirs.choice(4, p=config.probabilities)]
+                assert evolution._mutation_kind(ours, config) == expected
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_depth_grows_by_at_most_one(self):
         rng = np.random.default_rng(10)
         parent = mixed_circuit()

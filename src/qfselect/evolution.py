@@ -32,6 +32,7 @@ from .simulator import (
 )
 
 MUTATION_KINDS = ("insert", "modify", "delete", "swap")
+_GATE_KINDS = tuple(GateKind)
 
 
 @dataclass(frozen=True)
@@ -122,16 +123,16 @@ def mutate(circuit: Circuit, rng: np.random.Generator, mutation: MutationConfig)
     """Apply exactly one mutation; inapplicable draws fall back to insert."""
     kind = _mutation_kind(rng, mutation)
     gates = list(circuit.gates)
-    two_qubit_at = [i for i, g in enumerate(gates) if g.kind.n_qubits == 2]
-
-    if kind in ("modify", "delete") and not gates:
-        kind = "insert"
-    elif kind == "swap" and not two_qubit_at:
+    if kind == "swap":
+        two_qubit_at = [i for i, g in enumerate(gates) if len(g.qubits) == 2]
+        if not two_qubit_at:
+            kind = "insert"
+    elif kind in ("modify", "delete") and not gates:
         kind = "insert"
 
     if kind == "insert":
         # On a single qubit only the single-qubit rotations are drawable.
-        kinds = tuple(GateKind) if circuit.n >= 2 else SINGLE_QUBIT_KINDS
+        kinds = _GATE_KINDS if circuit.n >= 2 else SINGLE_QUBIT_KINDS
         gate_kind = kinds[int(rng.integers(len(kinds)))]
         qubits = tuple(
             int(q) for q in rng.choice(circuit.n, size=gate_kind.n_qubits, replace=False)

@@ -41,7 +41,9 @@ exchange, which the evolution loop's swap mutation relies on.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -201,13 +203,14 @@ _ONE = np.ones(1)
 _PLUS_MINUS = np.array([1.0, -1.0])
 
 
-def _layout(flips: int, signs: int) -> tuple[tuple, tuple, np.ndarray]:
+def _build_layout(flips: int, signs: int) -> tuple[tuple, tuple, np.ndarray]:
     """Reshape, flip view and sign for positions k of a coefficient array.
 
     Every bit set in ``flips | signs`` gets an axis of length 2: shape
     (-1, 2, gap, 2, gap, ...), highest bit first.  The view reverses the
     ``flips`` axes, which maps k to k ^ flips.  The sign is
-    (-1)**parity(k & signs), shaped to broadcast against the reshape.
+    (-1)**parity(k & signs), shaped to broadcast against the reshape, and
+    read-only, since ``_layout`` hands the same array to every caller.
     """
     axes = flips | signs
     bits = [b for b in reversed(range(axes.bit_length())) if axes >> b & 1]
@@ -216,7 +219,15 @@ def _layout(flips: int, signs: int) -> tuple[tuple, tuple, np.ndarray]:
         shape += [2, 1 << (bit - below - 1)]
         view += [_FLIP if flips >> bit & 1 else _KEEP, _KEEP]
         sign = np.multiply.outer(sign, _PLUS_MINUS if signs >> bit & 1 else _ONE)[..., None]
+    sign.flags.writeable = False
     return tuple(shape), tuple(view), sign
+
+
+# Runs meet few distinct layouts: 128 over the 3159 gates of the 10 wine
+# runs.  The memo holds only layouts of at most _MEMO_AXES axes, whose sign
+# has at most 2**8 entries; a wider one is built for each gate.
+_MEMO_AXES = 8
+_layout = functools.lru_cache(maxsize=1024)(_build_layout)
 
 
 def _apply_in_place(
@@ -240,7 +251,8 @@ def _apply_in_place(
             flips |= 1 << i
         if signed and (vector & mask).bit_count() & 1:
             signs |= 1 << i
-    shape, view, sign = _layout(flips, signs)
+    layout = _layout if (flips | signs).bit_count() <= _MEMO_AXES else _build_layout
+    shape, view, sign = layout(flips, signs)
     t = state.reshape(shape)
     if gate.kind in _Z_KINDS:
         t *= c - 1j * s * sign
@@ -287,15 +299,18 @@ def sample(state: SupportState, shots: int, rng: np.random.Generator) -> Sampled
     total = cdf[-1]
     if not (math.isfinite(total) and total > 0):
         raise ValueError(f"state norm must be finite and nonzero, got {total}")
-    outcomes = cdf.searchsorted(rng.random(shots) * total, side="right")
-    values, counts = np.unique(outcomes, return_counts=True)
-    return SampledDistribution(
-        shots=shots,
-        counts={
-            index_to_mask(index, state.n): count
-            for index, count in zip(state.index(values).tolist(), counts.tolist())
-        },
-    )
+    outcomes = Counter(cdf.searchsorted(rng.random(shots) * total, side="right").tolist())
+    # Ascending positions, so ascending indices: the ledger's first-seen
+    # order, and so the records, depend on this order.
+    counts = {}
+    for position in sorted(outcomes):
+        index, bits = 0, position
+        while bits:
+            low = bits & -bits
+            index ^= state.basis[low.bit_length() - 1]
+            bits ^= low
+        counts[index_to_mask(index, state.n)] = outcomes[position]
+    return SampledDistribution(shots=shots, counts=counts)
 
 
 def quasi_probabilities(dist: SampledDistribution) -> dict[str, float]:

@@ -3,7 +3,12 @@ by name; renaming or removing one breaks it without failing any other test."""
 
 import importlib
 
+import numpy as np
 import pytest
+
+from qfselect import evolution, simulator
+from qfselect.evolution import EvolutionConfig, evolve
+from qfselect.simulator import Circuit, Gate, GateKind
 
 BENCH_NAMES = {
     "qfselect.evolution": ("simulate", "sample", "mutate", "select", "fitness"),
@@ -24,3 +29,34 @@ def test_bench_lookup_names_resolve(module_name):
     names = BENCH_NAMES[module_name]
     missing = [name for name in names if not callable(getattr(module, name, None))]
     assert missing == [], f"{module_name} lacks {missing}"
+
+
+def test_evolve_calls_simulate_with_one_positional_argument(monkeypatch):
+    # The benchmark's `simulate` span note is a one-argument lambda.
+    calls = []
+    original = evolution.simulate
+
+    def spy(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "simulate", spy)
+    evolve(EvolutionConfig(n=4, generations=3, seed=1), lambda mask: mask.count("1") / 4)
+    assert calls and set(map(repr, calls)) == {repr((1, {}))}
+
+
+def test_sample_renders_each_distinct_outcome_once(monkeypatch):
+    # The traced `masks.index_to_mask.calls` counts one call per outcome.
+    rendered = []
+    original = simulator.index_to_mask
+
+    def spy(index, n):
+        rendered.append(index)
+        return original(index, n)
+
+    monkeypatch.setattr(simulator, "index_to_mask", spy)
+    hadamard_like = tuple(Gate(GateKind.RY, (q,), np.pi / 2) for q in range(4))
+    state = simulator.simulate(Circuit(4, hadamard_like))
+    dist = evolution.sample(state, 256, np.random.default_rng(0))
+    assert len(dist.counts) > 1
+    assert len(rendered) == len(set(rendered)) == len(dist.counts)

@@ -1,6 +1,8 @@
 """Evaluator tests: linear SVM, nearest centroid, external protocol."""
 
 import fcntl
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -318,6 +320,21 @@ class TestTrainOvr:
         assert np.array_equal(classes, ref_classes)
         assert weights.tobytes() == ref_weights.tobytes()
         assert biases.tobytes() == ref_biases.tobytes()
+
+    def test_a_fit_does_not_import_numpy_ma(self):
+        # np.unique's first call imports numpy.ma, about 15 ms and 1 MiB of
+        # heap; the classes come from bincount instead.
+        code = (
+            "import sys, numpy as np; from qfselect import classifier; "
+            "x = np.random.default_rng(0).normal(size=(30, 4)); "
+            "classifier._train_ovr(x, np.arange(30) % 3, 1.0, 5, np.ones((2, 4))); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(classifier.__file__).parents[1])),
+        )
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("split", sorted(KERNEL_INPUTS))

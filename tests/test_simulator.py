@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfselect.errors import InvalidGateError, MaskError, OracleLimitError, StateSizeError
+from qfselect import simulator
 from qfselect.masks import index_to_mask, mask_columns, mask_to_index, validate_mask
 from qfselect.simulator import (
     Circuit,
@@ -342,6 +343,54 @@ class TestSupport:
         assert got == {m[0] + "0" * 38 + m[1]: c for m, c in expected.items()}
 
 
+class TestLayoutMemo:
+    def test_cached_sign_is_read_only(self):
+        _, _, sign = simulator._layout(0b101, 0b011)
+        assert not sign.flags.writeable
+        with pytest.raises(ValueError):
+            sign[...] = 0.0
+
+    def test_amplitudes_do_not_depend_on_the_memo(self):
+        circuits = [random_circuit(np.random.default_rng(seed), 9, 30) for seed in range(5)]
+        simulator._layout.cache_clear()
+        cold = [simulate(c).amplitudes.tobytes() for c in circuits]
+        warm = [simulate(c).amplitudes.tobytes() for c in circuits]
+        simulator._layout.cache_clear()
+        assert warm == cold == [simulate(c).amplitudes.tobytes() for c in circuits]
+
+    def test_wide_layout_is_built_but_not_memoized(self, monkeypatch):
+        # RZ(0) after RXX(0, i) for i = 1..10: all ten basis vectors hold
+        # qubit 0, so its sign has one axis per vector, 2**10 entries.
+        star = tuple(Gate(GateKind.RXX, (0, i), 0.3 + 0.1 * i) for i in range(1, 11))
+        circuit = Circuit(11, star + (Gate(GateKind.RZ, (0,), 0.9),))
+        built = []
+        build = simulator._build_layout
+
+        def spy(flips, signs):
+            layout = build(flips, signs)
+            built.append(layout[2].size)
+            return layout
+
+        monkeypatch.setattr(simulator, "_build_layout", spy)
+        simulate(Circuit(11, star))
+        cached = simulator._layout.cache_info().currsize
+        state = simulate(circuit)
+        assert built == [1 << 10]
+        assert simulator._layout.cache_info().currsize == cached
+        # Dense oracle, index by index: X0Xi mixes j with j ^ (1 | 1 << i),
+        # and RZ(0) phases j by the parity of bit 0.
+        dense = np.zeros(1 << 11, dtype=complex)
+        dense[0] = 1.0
+        j = np.arange(1 << 11)
+        for gate in circuit.gates:
+            c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
+            if gate.kind is GateKind.RXX:
+                dense = c * dense - 1j * s * dense[j ^ (1 | 1 << gate.qubits[1])]
+            else:
+                dense = dense * (c - 1j * s * (1 - 2 * (j & 1)))
+        np.testing.assert_allclose(state.dense(), dense, atol=1e-12)
+
+
 class TestSizeCaps:
     @staticmethod
     def assert_refused_without_allocating(fn, circuit, match):
@@ -417,6 +466,30 @@ class TestSample:
                 expected = Counter(index_to_mask(int(i), n) for i in drawn)
                 got = sample(state, shots, np.random.default_rng(seed)).counts
                 assert got == dict(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, simulator.MAX_QUBITS),
+        n_gates=st.integers(0, 16),
+        shots=st.integers(1, 512),
+        circuit_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_as_np_unique_over_the_index_map(self, n, n_gates, shots, circuit_seed, seed):
+        # At most 16 gates, so the span has d <= 16.
+        state = simulate(random_circuit(np.random.default_rng(circuit_seed), n, n_gates))
+        rng = np.random.default_rng(seed)
+        cdf = np.cumsum(np.abs(state.amplitudes) ** 2)
+        positions, counts = np.unique(
+            cdf.searchsorted(rng.random(shots) * cdf[-1], side="right"), return_counts=True
+        )
+        expected = [
+            (index_to_mask(reference_index(state.basis, int(k)), n), int(c))
+            for k, c in zip(positions, counts)
+        ]
+        got = sample(state, shots, np.random.default_rng(seed)).counts
+        # Key for key and in order: the ledger scores masks as first met.
+        assert list(got.items()) == expected
 
     def test_extreme_uniforms_never_draw_zero_probability_outcomes(self):
         class FixedUniforms:

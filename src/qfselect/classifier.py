@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import SplitDataset
 from .errors import DegenerateTrainingError, EvaluatorError, FitnessError
-from .masks import mask_columns, validate_mask
+from .masks import mask_columns, validate_masks
 
 KINDS = ("linear-svm", "nearest-centroid", "external")
 
@@ -188,16 +188,6 @@ def _majority_accuracy(data: SplitDataset) -> float:
     return float(np.mean(data.test_labels == majority))
 
 
-# EVAL lines sent before their replies are read.  A window's requests must
-# fit a pipe buffer even if the server never reads them, or the client would
-# block writing while the server blocks writing replies nobody reads: 32
-# lines of 68 bytes (n = 62, the widest mask a run simulates) are 2.2 KiB,
-# under the 4 KiB of the smallest pipe Linux gives.  Wider masks get a
-# window of fewer lines.
-WINDOW = 32
-_SMALLEST_PIPE = 4096
-
-
 def _accuracy(line: bytes) -> float:
     """The accuracy in an "OK <accuracy>" reply line; anything else raises."""
     reply = _decoded(line)
@@ -212,6 +202,23 @@ def _accuracy(line: bytes) -> float:
     if not 0.0 <= value <= 1.0:
         raise EvaluatorError(f"evaluator accuracy {value} outside [0, 1]")
     return value
+
+
+def _accuracies(lines: list[bytes]) -> list[float] | None:
+    """The accuracies in `lines` if every one is "OK <x>" with x in [0, 1], else None.
+
+    One pass over the batch.  float() on bytes reads only ASCII, so a line
+    it takes decodes and parses as _accuracy would parse it; any other line
+    sends the batch back to _accuracy, one line at a time.
+    """
+    values = [line[3:] for line in lines if line[:3] == b"OK "]
+    if len(values) < len(lines):
+        return None
+    try:
+        values = [value for value in map(float, values) if 0.0 <= value <= 1.0]
+    except ValueError:
+        return None
+    return values if len(values) == len(lines) else None
 
 
 def _decoded(line: bytes) -> str:
@@ -238,12 +245,15 @@ class ExternalEvaluator:
     Protocol over stdin/stdout, UTF-8, one line per message:
     we send "HELLO EQFS 1 <n>" and expect "READY"; each "EVAL <mask>" is
     answered by "OK <accuracy>" or "ERR <message>", in request order;
-    "QUIT" ends the session.  evaluate_many() pipelines, writing up to
-    WINDOW requests before it reads their replies, so a server that answers
-    each line before it reads the next serves it; calling the evaluator on
-    one mask is a batch of one.  The process is reused for every mask of a
-    run.  Replies are read on the calling thread, waiting on the pipe with
-    select(), so this client needs a POSIX system.
+    "QUIT" ends the session.  evaluate_many() streams a batch: it writes all
+    its requests as one buffer on a non-blocking pipe and reads replies in
+    the same select() loop while the rest is still being written.  So a
+    server that answers each line before it reads the next serves a batch
+    of any size, and so does one that reads the whole batch first; calling
+    the evaluator on one mask is a batch of one.  Each reply must come
+    within the timeout of the one before it.  The process is reused for
+    every mask of a run.  The client waits on its pipes with select(), so it
+    needs a POSIX system.
     """
 
     def __init__(self, command: str | list[str], n: int, timeout: float = 60.0):
@@ -253,85 +263,114 @@ class ExternalEvaluator:
             raise EvaluatorError(str(err)) from None
         self.n = n
         self._timeout = timeout
-        self._window = max(1, min(WINDOW, _SMALLEST_PIPE // len(f"EVAL {'0' * n}\n")))
         self._unread = b""  # bytes received after the last complete reply
         try:
             self._proc = subprocess.Popen(
-                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
             )
         except (OSError, ValueError) as err:  # ValueError: a NUL byte in an argument
             raise EvaluatorError(f"cannot launch evaluator {argv!r}: {err}") from err
         try:
-            self._send(f"HELLO EQFS 1 {n}")
-            reply = _decoded(self._receive())
+            # Set once: a write then takes what the pipe holds and never blocks.
+            os.set_blocking(self._proc.stdin.fileno(), False)
+            lines, lost = self._exchange(f"HELLO EQFS 1 {n}\n".encode("utf-8"), 1)
+            if lost is not None:
+                raise lost
+            reply = _decoded(lines[0])
             if reply != "READY":
                 raise EvaluatorError(f"bad handshake reply: {reply!r}")
         except BaseException:
             self.close()
             raise
 
-    def _send(self, message: str) -> None:
-        try:
-            self._proc.stdin.write(message.encode("utf-8") + b"\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, ValueError, OSError) as err:
-            raise EvaluatorError(f"evaluator process is gone: {err}") from err
+    def _exchange(self, request: bytes, count: int) -> tuple[list[bytes], EvaluatorError | None]:
+        """Write `request` while reading `count` reply lines, undecoded.
 
-    def _receive(self) -> bytes:
-        """The next reply line, undecoded, waiting at most the timeout for it."""
+        Returns the lines read and, if fewer than `count` came, why the next
+        one did not.  The loop writes what the pipe takes before it waits,
+        and waits only for the pipe to drain or a reply to arrive, each
+        reply at most the timeout after the one before it.  The whole
+        request is written even when lines left from an earlier exchange
+        already fill `count`, so that the server reads every line it was
+        sent.  A server that stops reading its input is left to its replies:
+        the first one missing ends the exchange.
+        """
+        try:
+            out, fd = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        except ValueError as err:  # closed
+            return [], EvaluatorError(f"evaluator process is gone: {err}")
+        pending = memoryview(request)
+        *lines, self._unread = self._unread.split(b"\n")
         deadline = time.monotonic() + self._timeout
-        fd = self._proc.stdout.fileno()
-        while b"\n" not in self._unread:
+        while True:
+            if pending:
+                try:
+                    pending = pending[os.write(out, pending):]
+                except BlockingIOError:
+                    pass  # the pipe is full
+                except OSError:  # the server closed its input, or exited
+                    pending = pending[:0]
+            if not pending and len(lines) >= count:
+                break
             remaining = max(deadline - time.monotonic(), 0.0)
-            if not select.select([fd], [], [], remaining)[0]:
+            readable, writable, _ = select.select([fd], [out] if pending else [], [], remaining)
+            if writable and not readable:
+                continue
+            if not readable:
                 self._proc.kill()
-                raise EvaluatorError(f"evaluator gave no reply within {self._timeout} s")
+                if len(lines) >= count:
+                    break  # every reply came, but the server stopped reading
+                return lines, EvaluatorError(f"evaluator gave no reply within {self._timeout} s")
             chunk = os.read(fd, 65536)
             if not chunk:
-                try:
-                    code = self._proc.wait(max(deadline - time.monotonic(), 0.0))
-                except subprocess.TimeoutExpired:
-                    self._proc.kill()
-                    self._proc.wait()
-                    raise EvaluatorError(
-                        f"evaluator closed its output and gave no reply within {self._timeout} s"
-                    ) from None
-                raise EvaluatorError(f"evaluator exited early with code {code}")
-            self._unread += chunk
-        line, _, self._unread = self._unread.partition(b"\n")
-        return line
+                return lines, self._closed(deadline)
+            *complete, self._unread = (self._unread + chunk).split(b"\n")
+            if complete:
+                lines += complete
+                deadline = time.monotonic() + self._timeout
+        if len(lines) > count:  # lines sent unasked are read by the next exchange
+            self._unread = b"\n".join(lines[count:] + [self._unread])
+            del lines[count:]
+        return lines, None
+
+    def _closed(self, deadline: float) -> EvaluatorError:
+        """Why no reply came after the server closed its output."""
+        try:
+            code = self._proc.wait(max(deadline - time.monotonic(), 0.0))
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+            return EvaluatorError(
+                f"evaluator closed its output and gave no reply within {self._timeout} s"
+            )
+        return EvaluatorError(f"evaluator exited early with code {code}")
 
     def __call__(self, mask: str) -> float:
         return self.evaluate_many([mask])[0]
 
     def evaluate_many(self, masks: list[str]) -> list[float]:
-        """Accuracies of `masks`, in order, up to WINDOW requests in flight.
+        """Accuracies of `masks`, in order, sent as one stream of requests.
 
         Every mask is validated before anything is sent.  A failed request
         raises FitnessError naming the first mask left without an accuracy.
-        A window's replies are all read before any is parsed, so an ERR
-        reply leaves the stream in step, and an earlier mask's bad reply is
-        the failure reported, as it would be one request at a time.
+        The replies are all read before any is parsed, so an ERR reply
+        leaves the stream in step, and an earlier mask's bad reply is the
+        failure reported, as it would be one request at a time.
         """
-        for mask in masks:
-            validate_mask(mask, self.n)
-        values: list[float] = []
+        validate_masks(masks, self.n)
+        if not masks:
+            return []
+        request = ("EVAL " + "\nEVAL ".join(masks) + "\n").encode("ascii")
+        lines, lost = self._exchange(request, len(masks))
+        values = _accuracies(lines) if lost is None else None
+        if values is not None:
+            return values
+        values = []
         try:
-            for start in range(0, len(masks), self._window):
-                window = masks[start : start + self._window]
-                self._send("\n".join(f"EVAL {mask}" for mask in window))
-                lines: list[bytes] = []
-                lost = None  # why the reply to window[len(lines)] never came
-                for _ in window:
-                    try:
-                        lines.append(self._receive())
-                    except EvaluatorError as err:
-                        lost = err
-                        break
-                for line in lines:
-                    values.append(_accuracy(line))
-                if lost is not None:
-                    raise lost
+            for line in lines:
+                values.append(_accuracy(line))
+            if lost is not None:
+                raise lost
         except EvaluatorError as err:
             raise FitnessError(f"evaluator failed: {err}", mask=masks[len(values)]) from err
         return values
@@ -339,18 +378,15 @@ class ExternalEvaluator:
     def close(self) -> None:
         if self._proc.poll() is None:
             try:
-                self._send("QUIT")
-            except EvaluatorError:
-                pass
+                os.write(self._proc.stdin.fileno(), b"QUIT\n")
+            except (OSError, ValueError):
+                pass  # a full pipe, or a process that is gone
             try:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
-        try:
-            self._proc.stdin.close()
-        except OSError:
-            pass  # unflushed bytes for a process that is gone
+        self._proc.stdin.close()
         self._proc.stdout.close()
 
     def __enter__(self) -> "ExternalEvaluator":

@@ -191,7 +191,13 @@ def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
             empty = Circuit(config.n, ())
             sampled.append((empty, sample(simulate(empty), config.shots, rng)))
         else:
-            streams = np.random.SeedSequence((config.seed, generation)).spawn(config.lambda_)
+            # The children SeedSequence((seed, generation)).spawn() would give,
+            # built directly and all before the first is used: built one by
+            # one between the mutations, they made a run about 2% slower.
+            streams = [
+                np.random.SeedSequence((config.seed, generation), spawn_key=(i,))
+                for i in range(config.lambda_)
+            ]
             for i in range(config.lambda_):
                 rng = np.random.default_rng(streams[i])
                 parent = parents[i % len(parents)]

@@ -35,9 +35,19 @@ def validate_mask(mask: str, n: int | None = None) -> None:
         raise MaskError(f"mask width {len(mask)} != expected {n}")
 
 
+def validate_masks(masks: Sequence[str], n: int) -> None:
+    """validate_mask(mask, n) for every mask, in one pass when all are valid."""
+    try:
+        valid = n > 0 and set(map(len, masks)) <= {n} and not "".join(masks).strip("01")
+    except TypeError:
+        valid = False
+    if not valid:
+        for mask in masks:
+            validate_mask(mask, n)
+
+
 def mask_columns(masks: Sequence[str], n: int) -> np.ndarray:
     """The (len(masks), n) bool matrix whose row r keeps the columns of masks[r]."""
-    for mask in masks:
-        validate_mask(mask, n)
+    validate_masks(masks, n)
     codes = np.frombuffer("".join(masks).encode("ascii"), dtype=np.uint8)
     return (codes == ord("1")).reshape(len(masks), n)

@@ -47,17 +47,25 @@ class EvaluationLedger:
         method, else by one call per miss.  Results enter the cache in that
         order, so a tie for the best accuracy goes to the first-seen mask.
         A mask whose evaluation fails or leaves [0, 1] raises FitnessError
-        and is not cached.  A FitnessError from ``evaluate_many`` already
-        names its mask and is raised as it is, with none of the batch
-        cached; when ``evaluate_many`` raises anything else, the misses are
-        scored again one call at a time so that the error names its mask.
-        An ``evaluate_many`` result of another length than the batch raises
-        EvaluatorError.
+        and is not cached; the misses before it are.  A FitnessError from
+        ``evaluate_many`` already names its mask and is raised as it is,
+        with none of the batch cached; when ``evaluate_many`` raises
+        anything else, the misses are scored again one call at a time so
+        that the error names its mask.  An ``evaluate_many`` result of
+        another length than the batch raises EvaluatorError.
         """
         masks = list(masks)
         misses = [mask for mask in dict.fromkeys(masks) if mask not in self._cache]
+        if misses:
+            accuracies = self._score_misses(misses, evaluator)
+            if len(accuracies) == len(masks):  # every mask a distinct miss, in order
+                return accuracies
+        return [self._cache[mask] for mask in masks]
+
+    def _score_misses(self, misses: list[str], evaluator: Evaluator) -> list[float]:
+        """Evaluate and cache `misses`; on a failure, cache the ones before it and raise."""
         values = None
-        if misses and hasattr(evaluator, "evaluate_many"):
+        if hasattr(evaluator, "evaluate_many"):
             try:
                 values = list(evaluator.evaluate_many(misses))
             except FitnessError:
@@ -68,22 +76,39 @@ class EvaluationLedger:
             raise EvaluatorError(
                 f"evaluate_many returned {len(values)} result(s) for {len(misses)} mask(s)"
             )
-        for i, mask in enumerate(misses):
-            try:
-                value = float(evaluator(mask) if values is None else values[i])
-            except FitnessError:
-                raise
-            except Exception as err:
-                raise FitnessError(f"evaluator failed: {err}", mask=mask) from err
-            if not 0.0 <= value <= 1.0:
-                raise FitnessError(
-                    f"evaluator returned {value!r}, outside [0, 1]", mask=mask
-                )
-            self._cache[mask] = value
-            if value > self.best_accuracy:
-                self.best_accuracy = value
-                self.best_mask = mask
-        return [self._cache[mask] for mask in masks]
+        accuracies = None if values is None else _in_range(values)
+        try:
+            if accuracies is None:  # one at a time, to name the mask that fails
+                accuracies = []
+                for i, mask in enumerate(misses):
+                    try:
+                        value = float(evaluator(mask) if values is None else values[i])
+                    except FitnessError:
+                        raise
+                    except Exception as err:
+                        raise FitnessError(f"evaluator failed: {err}", mask=mask) from err
+                    if not 0.0 <= value <= 1.0:
+                        raise FitnessError(
+                            f"evaluator returned {value!r}, outside [0, 1]", mask=mask
+                        )
+                    accuracies.append(value)
+        finally:  # cache every accuracy taken, up to a failure
+            self._cache.update(zip(misses, accuracies))
+            if accuracies:
+                best = max(accuracies)  # the first of equal maxima
+                if best > self.best_accuracy:
+                    self.best_accuracy = best
+                    self.best_mask = misses[accuracies.index(best)]
+        return accuracies
+
+
+def _in_range(values: list) -> list[float] | None:
+    """The values as floats if every one converts and lies in [0, 1], else None."""
+    try:
+        accuracies = [value for value in map(float, values) if 0.0 <= value <= 1.0]
+    except Exception:
+        return None
+    return accuracies if len(accuracies) == len(values) else None
 
 
 def fitness(

@@ -17,6 +17,8 @@ other value keeps the one rule the tail always gave it, so a bool is never
 written as an int and an `np.float64` takes the 17-digit float rule.
 Strings and keys are escaped by the C escaper that `json.dumps(s,
 ensure_ascii=False)` calls, so their bytes are the standard library's.
+A dict writes its exact leaf values by the same rules in its own loop, and
+takes the escaped text of an exact `str` key from a bounded memo.
 """
 
 from __future__ import annotations
@@ -113,6 +115,15 @@ def _line_breaks(indent: int) -> tuple[str, str, str]:
     return first, "," + first, "\n" + "  " * indent
 
 
+@functools.lru_cache(maxsize=1024)
+def _key(key: str) -> str:
+    """The escaped `key` and its colon, shared by every dict that has the key.
+
+    Bounded, because a library caller may write dicts with any keys.
+    """
+    return _escape(key) + ": "
+
+
 def _emit(value, out: list[str], indent: int) -> None:
     # Each container item is followed by the separator, and the last
     # separator is then replaced by the closing break.
@@ -130,8 +141,17 @@ def _emit(value, out: list[str], indent: int) -> None:
         first, separator, last = _line_breaks(indent)
         out += ("{", first)
         for key, val in value.items():
-            out.append(_escape(str(key)) + ": ")
-            _emit(val, out, indent + 1)
+            out.append(_key(key) if type(key) is str else _escape(str(key)) + ": ")
+            # The exact leaf types are written here, as _emit would write them.
+            kind = type(val)
+            if kind is str:
+                out.append(_escape(val))
+            elif kind is float:
+                out.append(_format_float(val))
+            elif kind is int:
+                out.append(str(val))
+            else:
+                _emit(val, out, indent + 1)
             out.append(separator)
         out[-1] = last
         out.append("}")

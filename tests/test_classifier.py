@@ -1,10 +1,12 @@
 """Evaluator tests: linear SVM, nearest centroid, external protocol."""
 
 import fcntl
+import gc
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -543,6 +545,30 @@ class TestExternalEvaluator:
                     continue
                 assert type(value) is float and 0.0 <= value <= 1.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.sampled_from([b"OK ", b"OK", b"ERR ", b"ok ", b""]),
+                st.lists(
+                    st.sampled_from(
+                        [b"0", b"1", b".", b"5", b"e-1", b"_", b"-", b"+", b" ", b"\t",
+                         b"\r", b"\x1f", b"\xc2\xa0", b"\xd9\xa0", b"\xff", b"nan", b"inf"]
+                    ),
+                    max_size=6,
+                ).map(b"".join)
+                | st.floats().map(lambda x: repr(x).encode()),
+            ).map(b"".join),
+            max_size=4,
+        )
+    )
+    def test_one_pass_parse_agrees_with_the_line_rule(self, lines):
+        # The batch parse may give up, but what it returns is what the
+        # one-line rule gives, sign of zero included.
+        values = classifier._accuracies(lines)
+        if values is not None:
+            assert [repr(v) for v in values] == [repr(classifier._accuracy(l)) for l in lines]
+
     @pytest.mark.parametrize(
         "mode",
         ["ones-fraction", "die", "slow", "bad-handshake", "bad-utf8", "close-stdout"],
@@ -622,29 +648,72 @@ class TestPipelinedEvaluation:
             assert proc.evaluate_many(["100", "011"]) == [1 / 3, 2 / 3]
 
     def test_wide_batch_cannot_deadlock(self):
-        # 2000 requests of 68 bytes are over 64 KiB, more than a default
-        # pipe holds, so they must go out a window at a time.
+        # 8000 requests of 68 bytes and their replies of about 22 bytes each
+        # overfill a 64 KiB pipe, so replies must be read while requests are
+        # written: a client blocked writing while the stub is blocked writing
+        # replies would hang.
         rng = np.random.default_rng(7)
-        masks = ["".join(row) for row in rng.choice(["0", "1"], size=(2000, 62))]
+        masks = ["".join(row) for row in rng.choice(["0", "1"], size=(8000, 62))]
         with ExternalEvaluator(stub_cmd("ones-fraction"), n=62, timeout=10) as proc:
             assert proc.evaluate_many(masks) == [mask.count("1") / 62 for mask in masks]
 
     @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs Linux pipe sizing")
     def test_a_window_fits_the_smallest_pipe(self):
-        # The server shrinks its request pipe to one page and never reads:
-        # a window that did not fit would block the client's write until
-        # the server exits, instead of timing out on the first reply.
+        # The server shrinks its request pipe to one page and never reads,
+        # so 32 requests of 506 bytes fill it four times over: a blocking
+        # write would wait until the server exits, instead of timing out on
+        # the first reply.
         script = (
             "import fcntl, sys, time\n"
             "fcntl.fcntl(0, fcntl.F_SETPIPE_SZ, 4096)\n"
             "sys.stdin.readline(); print('READY', flush=True)\n"
             "time.sleep(3)\n"
         )
-        masks = ["0" * 500] * classifier.WINDOW
+        masks = ["0" * 500] * 32
         with ExternalEvaluator([sys.executable, "-c", script], n=500, timeout=0.3) as proc:
             with pytest.raises(FitnessError, match="no reply within") as exc:
                 proc.evaluate_many(masks)
         assert exc.value.mask == masks[0]
+
+    def test_a_server_that_reads_the_whole_batch_first(self):
+        # 3000 requests of 68 bytes, over 200 KiB, all read before the first
+        # reply: a client that waits for replies before it has written the
+        # whole batch times out here.
+        script = (
+            "import sys\n"
+            "sys.stdin.readline(); print('READY', flush=True)\n"
+            "batch = [sys.stdin.readline() for _ in range(3000)]\n"
+            "sys.stdout.write(''.join(f'OK {line.split()[1].count(\"1\") / 62!r}\\n' for line in batch))\n"
+            "sys.stdout.flush()\n"
+            "sys.stdin.readline()\n"
+        )
+        rng = np.random.default_rng(11)
+        masks = ["".join(row) for row in rng.choice(["0", "1"], size=(3000, 62))]
+        with ExternalEvaluator([sys.executable, "-c", script], n=62, timeout=10) as proc:
+            assert proc.evaluate_many(masks) == [mask.count("1") / 62 for mask in masks]
+
+    def test_a_call_after_a_streamed_batch_gets_its_own_reply(self):
+        rng = np.random.default_rng(3)
+        masks = ["".join(row) for row in rng.choice(["0", "1"], size=(2000, 62))]
+        with ExternalEvaluator(stub_cmd("ones-fraction"), n=62, timeout=10) as proc:
+            assert proc.evaluate_many(masks) == [mask.count("1") / 62 for mask in masks]
+            for ones in (62, 0, 31, 1):
+                assert proc("1" * ones + "0" * (62 - ones)) == ones / 62
+
+    @pytest.mark.parametrize("mode", ["ones-fraction", "die", "slow"])
+    def test_a_streamed_batch_leaves_no_resource_warning(self, mode):
+        masks = [format(i, "010b") for i in range(300)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            proc = ExternalEvaluator(stub_cmd(mode), n=10, timeout=0.5)
+            try:
+                proc.evaluate_many(masks)
+            except FitnessError:
+                pass
+            proc.close()
+            del proc
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_empty_batch_sends_nothing(self):
         with ExternalEvaluator(stub_cmd("die"), n=3, timeout=5) as proc:

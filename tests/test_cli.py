@@ -282,7 +282,7 @@ class TestOracle:
         )
 
     def test_external_evaluator_scores_every_mask(self, tmp_path):
-        # 2^8 masks: two ledger chunks of 128, each sent as four windows of 32.
+        # 2^8 masks: two ledger chunks of 128, each sent as one stream.
         data = tmp_path / "planted.csv"
         write_planted_csv(data, n=8, rows=40, informative=(0, 3), seed=6)
         out = tmp_path / "oracle.json"

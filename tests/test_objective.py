@@ -160,6 +160,32 @@ class TestLedger:
         assert exc.value.mask == "00"
         assert "00" not in ledger.cache
 
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5, 1.5, "x", None])
+    def test_a_bad_value_in_a_batch_caches_the_masks_before_it(self, bad):
+        class Returns(CountingEvaluator):
+            def evaluate_many(self, masks):
+                return [0.25, 0.75, bad, 0.5]
+
+        ledger = EvaluationLedger()
+        with pytest.raises(FitnessError) as exc:
+            ledger.score(["00", "01", "10", "11"], Returns({}))
+        assert exc.value.mask == "10"
+        assert ledger.cache == {"00": 0.25, "01": 0.75}
+        assert (ledger.best_mask, ledger.best_accuracy) == ("01", 0.75)
+
+    def test_a_tie_within_a_batch_goes_to_the_first_seen_mask(self):
+        class Batched(CountingEvaluator):
+            def evaluate_many(self, masks):
+                return [self.table[m] for m in masks]
+
+        ledger = EvaluationLedger()
+        ledger.score(["000"], lambda m: 0.5)
+        ev = Batched({"011": 0.9, "100": 0.25, "110": 0.9, "111": 0.9})
+        assert ledger.score(["100", "011", "110"], ev) == [0.25, 0.9, 0.9]
+        assert (ledger.best_mask, ledger.best_accuracy) == ("011", 0.9)
+        ledger.score(["111"], ev)
+        assert ledger.best_mask == "011"
+
     def test_fitness_error_from_a_batch_is_raised_as_it_is(self):
         class NamesItsMask(CountingEvaluator):
             def evaluate_many(self, masks):

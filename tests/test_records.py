@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qfselect.classifier import EvaluatorSpec, make_evaluator
 from qfselect.dataset import load_csv, stratified_split, wine_csv_path
+from qfselect import records
 from qfselect.errors import RecordError
 from qfselect.evolution import EvolutionConfig, evolve
 from qfselect.records import (
@@ -121,6 +122,25 @@ any_value = st.recursive(
 ) | run_records | oracle_records
 
 
+# Dicts whose keys are of every type a dict may hold, some of them equal
+# across types (True, 1 and 1.0), and whose values are leaves, numpy
+# scalars and nested containers.
+class StrSubclass(str):
+    pass
+
+
+dict_key = any_key | any_text.map(np.str_) | any_text.map(StrSubclass) | st.sampled_from(
+    [True, 1, 1.0, "1", "True", np.str_("mask"), "mask", "accuracy"]
+)
+keyed_dicts = st.recursive(
+    st.dictionaries(dict_key, any_leaf, max_size=4),
+    lambda inner: st.dictionaries(
+        dict_key, any_leaf | inner | st.lists(inner | any_leaf, max_size=2), max_size=4
+    ),
+    max_leaves=12,
+)
+
+
 def outcome(dumps, value):
     """The text `dumps` writes for `value`, or the error it raises."""
     try:
@@ -190,6 +210,23 @@ class TestCanonicalJson:
     @given(value=any_value)
     def test_matches_the_reference_writer(self, value):
         assert outcome(dumps_canonical, value) == outcome(reference_dumps_canonical, value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.lists(keyed_dicts, max_size=4))
+    def test_dicts_match_the_reference_writer(self, value):
+        assert outcome(dumps_canonical, value) == outcome(reference_dumps_canonical, value)
+
+    def test_keys_equal_across_types_keep_their_own_text(self):
+        value = [{True: 1}, {1: 2}, {1.0: 3}, {"1": 4}, {np.str_("1"): 5}, {StrSubclass("1"): 6}]
+        assert dumps_canonical(value) == reference_dumps_canonical(value)
+
+    def test_the_key_memo_is_bounded(self):
+        records._key.cache_clear()
+        bound = records._key.cache_info().maxsize
+        assert bound is not None
+        text = dumps_canonical({f"k{i}": i for i in range(bound + 10)})
+        assert text == reference_dumps_canonical({f"k{i}": i for i in range(bound + 10)})
+        assert records._key.cache_info().currsize == bound
 
     def test_deterministic_output(self):
         record = sample_record()

@@ -14,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from qfselect.errors import InvalidGateError, MaskError, OracleLimitError, StateSizeError
 from qfselect import simulator
-from qfselect.masks import index_to_mask, mask_columns, mask_to_index, validate_mask
+from qfselect.masks import (
+    index_to_mask,
+    mask_columns,
+    mask_to_index,
+    validate_mask,
+    validate_masks,
+)
 from qfselect.simulator import (
     Circuit,
     Gate,
@@ -113,6 +119,28 @@ class TestMasks:
             index_to_mask(8, 3)
         with pytest.raises(MaskError):
             index_to_mask(0, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        masks=st.lists(
+            st.text(alphabet="01", min_size=3, max_size=3)
+            | st.text(alphabet="01x \n", max_size=4)
+            | st.sampled_from(NOT_BITSTRINGS + ("", "011", b"011", None)),
+            max_size=4,
+        ),
+        n=st.integers(0, 4),
+    )
+    def test_a_batch_is_checked_as_each_mask_would_be(self, masks, n):
+        # validate_masks raises what the first failing validate_mask raises.
+        def outcome(check, *items):
+            try:
+                for item in items:
+                    check(item, n)
+            except Exception as err:
+                return type(err), str(err)
+            return None
+
+        assert outcome(validate_masks, masks) == outcome(validate_mask, *masks)
 
     @pytest.mark.parametrize("text", NOT_BITSTRINGS)
     def test_rejects_what_base_2_parsing_accepts(self, text):

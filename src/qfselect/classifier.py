@@ -63,6 +63,10 @@ class EvaluatorSpec:
 # classes x (train rows) x BATCH_MASKS.
 BATCH_MASKS = 128
 
+# Seconds close() gives an external evaluator to exit after "QUIT" before
+# it kills it.
+CLOSE_TIMEOUT_S = 5.0
+
 
 def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialized float64 array that starts on a 64-byte boundary.
@@ -381,13 +385,32 @@ class ExternalEvaluator:
                 os.write(self._proc.stdin.fileno(), b"QUIT\n")
             except (OSError, ValueError):
                 pass  # a full pipe, or a process that is gone
+            deadline = time.monotonic() + CLOSE_TIMEOUT_S
+            self._drain(deadline)
             try:
-                self._proc.wait(timeout=5)
+                self._proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
         self._proc.stdin.close()
         self._proc.stdout.close()
+
+    def _drain(self, deadline: float) -> None:
+        """Read the reply pipe to end of file, or until `deadline`.
+
+        A server that exits closes its output first, and select() sees
+        that at once, where Popen.wait(timeout) only polls in growing sleeps.
+        """
+        try:
+            fd = self._proc.stdout.fileno()
+        except ValueError:  # closed
+            return
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                return
+            if not os.read(fd, 65536):
+                return
 
     def __enter__(self) -> "ExternalEvaluator":
         return self

@@ -24,13 +24,13 @@ from .dataset import Dataset, load_csv, stratified_split
 from .errors import OracleLimitError, QfselectError, RecordError
 from .evolution import EvolutionConfig, MutationConfig, evolve
 from .masks import index_to_mask
-from .objective import EvaluationLedger
+from .objective import evaluate_batch
 from .records import (
-    OracleRecord,
+    OracleRecordWriter,
     RunRecord,
     read_run_record,
     write_json,
-    write_oracle_record,
+    write_oracle_record,  # noqa: F401  (bench/tracing.py times it by this name)
     write_run_record,
 )
 
@@ -304,33 +304,32 @@ def cmd_oracle(args) -> int:
             f"n <= {ORACLE_MAX_FEATURES}"
         )
     split = stratified_split(data, args.test_fraction, seed=args.seed)
+    config = {
+        "n": n,
+        "evaluator": dataclasses.asdict(args.spec),
+        "dataset": _dataset_config(args, data, split_seed=args.seed),
+    }
 
-    entries: list[dict] = []
-    ledger = EvaluationLedger()
-    evaluator = make_evaluator(args.spec, split)
-    try:
-        # Masks are built a chunk at a time, never all 2^n at once.
-        for start in range(0, 2**n, BATCH_MASKS):
-            stop = min(start + BATCH_MASKS, 2**n)
-            masks = [index_to_mask(index, n) for index in range(start, stop)]
-            for mask, accuracy in zip(masks, ledger.score(masks, evaluator)):
-                entries.append({"mask": mask, "accuracy": accuracy})
-    finally:
-        evaluator.close()
-
-    record = OracleRecord(
-        config={
-            "n": n,
-            "evaluator": dataclasses.asdict(args.spec),
-            "dataset": _dataset_config(args, data, split_seed=args.seed),
-        },
-        entries=entries,
-        best_mask=ledger.best_mask,
-        best_accuracy=ledger.best_accuracy,
-    )
-    write_oracle_record(record, args.out)
-    print(f"wrote {len(entries)} mask evaluations to {args.out}")
-    print(f"best mask {ledger.best_mask} accuracy {ledger.best_accuracy!r}")
+    # The record is written as the chunks are scored, so the sweep holds
+    # one chunk at a time; it is opened first, so an unwritable --out
+    # fails before anything is scored.
+    best_mask, best_accuracy = None, float("-inf")
+    with OracleRecordWriter(args.out, config) as writer:
+        evaluator = make_evaluator(args.spec, split)
+        try:
+            for start in range(0, 2**n, BATCH_MASKS):
+                stop = min(start + BATCH_MASKS, 2**n)
+                masks = [index_to_mask(index, n) for index in range(start, stop)]
+                accuracies = evaluate_batch(masks, evaluator)
+                writer.add([{"mask": m, "accuracy": a} for m, a in zip(masks, accuracies)])
+                best = max(accuracies)  # the first of equal maxima
+                if best > best_accuracy:
+                    best_accuracy, best_mask = best, masks[accuracies.index(best)]
+        finally:
+            evaluator.close()
+        writer.finish(best_mask, best_accuracy)
+    print(f"wrote {2**n} mask evaluations to {args.out}")
+    print(f"best mask {best_mask} accuracy {best_accuracy!r}")
     return 0
 
 

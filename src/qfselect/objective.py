@@ -44,15 +44,12 @@ class EvaluationLedger:
 
         The misses are evaluated in first-seen order: by one
         ``evaluator.evaluate_many(misses)`` call when the evaluator has that
-        method, else by one call per miss.  Results enter the cache in that
-        order, so a tie for the best accuracy goes to the first-seen mask.
-        A mask whose evaluation fails or leaves [0, 1] raises FitnessError
-        and is not cached; the misses before it are.  A FitnessError from
-        ``evaluate_many`` already names its mask and is raised as it is,
-        with none of the batch cached; when ``evaluate_many`` raises
-        anything else, the misses are scored again one call at a time so
-        that the error names its mask.  An ``evaluate_many`` result of
-        another length than the batch raises EvaluatorError.
+        method, else by one call per miss, checked by `evaluate_batch`.
+        Results enter the cache in that order, so a tie for the best
+        accuracy goes to the first-seen mask.  A mask whose evaluation
+        fails or leaves [0, 1] raises FitnessError and is not cached; the
+        misses before it are.  A FitnessError from ``evaluate_many`` is
+        raised as it is, with none of the batch cached.
         """
         masks = list(masks)
         misses = [mask for mask in dict.fromkeys(masks) if mask not in self._cache]
@@ -64,34 +61,9 @@ class EvaluationLedger:
 
     def _score_misses(self, misses: list[str], evaluator: Evaluator) -> list[float]:
         """Evaluate and cache `misses`; on a failure, cache the ones before it and raise."""
-        values = None
-        if hasattr(evaluator, "evaluate_many"):
-            try:
-                values = list(evaluator.evaluate_many(misses))
-            except FitnessError:
-                raise
-            except Exception:
-                pass  # scored one call per mask below
-        if values is not None and len(values) != len(misses):
-            raise EvaluatorError(
-                f"evaluate_many returned {len(values)} result(s) for {len(misses)} mask(s)"
-            )
-        accuracies = None if values is None else _in_range(values)
+        accuracies: list[float] = []
         try:
-            if accuracies is None:  # one at a time, to name the mask that fails
-                accuracies = []
-                for i, mask in enumerate(misses):
-                    try:
-                        value = float(evaluator(mask) if values is None else values[i])
-                    except FitnessError:
-                        raise
-                    except Exception as err:
-                        raise FitnessError(f"evaluator failed: {err}", mask=mask) from err
-                    if not 0.0 <= value <= 1.0:
-                        raise FitnessError(
-                            f"evaluator returned {value!r}, outside [0, 1]", mask=mask
-                        )
-                    accuracies.append(value)
+            evaluate_batch(misses, evaluator, accuracies)
         finally:  # cache every accuracy taken, up to a failure
             self._cache.update(zip(misses, accuracies))
             if accuracies:
@@ -100,6 +72,53 @@ class EvaluationLedger:
                     self.best_accuracy = best
                     self.best_mask = misses[accuracies.index(best)]
         return accuracies
+
+
+def evaluate_batch(
+    masks: list[str], evaluator: Evaluator, accuracies: list[float] | None = None
+) -> list[float]:
+    """Accuracies of `masks`, in order, each a float checked to lie in [0, 1].
+
+    The batch is scored by one ``evaluator.evaluate_many(masks)`` call when
+    the evaluator has that method, else by one call per mask.  A mask whose
+    evaluation fails or leaves [0, 1] raises FitnessError naming it.  A
+    FitnessError from ``evaluate_many`` already names its mask and is
+    raised as it is; when ``evaluate_many`` raises anything else, the masks
+    are scored again one call at a time so that the error names its mask.
+    An ``evaluate_many`` result of another length than the batch raises
+    EvaluatorError.  The accuracies are appended to `accuracies` (a new
+    list if None) and it is returned; after a failure it holds those of
+    the masks before the failing one.
+    """
+    if accuracies is None:
+        accuracies = []
+    values = None
+    if hasattr(evaluator, "evaluate_many"):
+        try:
+            values = list(evaluator.evaluate_many(masks))
+        except FitnessError:
+            raise
+        except Exception:
+            pass  # scored one call per mask below
+    if values is not None and len(values) != len(masks):
+        raise EvaluatorError(
+            f"evaluate_many returned {len(values)} result(s) for {len(masks)} mask(s)"
+        )
+    checked = None if values is None else _in_range(values)
+    if checked is not None:
+        accuracies += checked
+        return accuracies
+    for i, mask in enumerate(masks):  # one at a time, to name the mask that fails
+        try:
+            value = float(evaluator(mask) if values is None else values[i])
+        except FitnessError:
+            raise
+        except Exception as err:
+            raise FitnessError(f"evaluator failed: {err}", mask=mask) from err
+        if not 0.0 <= value <= 1.0:
+            raise FitnessError(f"evaluator returned {value!r}, outside [0, 1]", mask=mask)
+        accuracies.append(value)
+    return accuracies
 
 
 def _in_range(values: list) -> list[float] | None:

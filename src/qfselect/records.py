@@ -23,9 +23,11 @@ takes the escaped text of an exact `str` key from a bounded memo.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -289,8 +291,115 @@ def read_run_record(path: str | Path) -> RunRecord:
     return record
 
 
+def _emit_fields(values: dict, out: list[str]) -> None:
+    """`values` as fields of the top-level object, each after the separator
+    that ends the field before it."""
+    for name, value in values.items():
+        out += (_line_breaks(0)[1], _key(name))
+        _emit(value, out, 1)
+
+
+class OracleRecordWriter:
+    """Writes an oracle record to `path` a batch of entries at a time.
+
+    The file holds the bytes `write_json` gives the whole `OracleRecord`:
+    the head (`format_version`, `config`) is written on opening, each
+    `add` writes the next entries, and `finish` writes `best_mask` and
+    `best_accuracy`.  Every value goes through the one canonical writer,
+    and the record is never held whole.  The bytes go to a temporary file
+    in `path`'s directory, and `finish` renames it over `path`; a writer
+    closed before that, as a `with` block that raises closes it, removes
+    the file, so a failed write leaves `path` as it was.  A failure to
+    write raises RecordError, "cannot write {path}...".  A `path` that
+    exists but is no regular file, such as /dev/null, is written in place.
+    """
+
+    def __init__(
+        self, path: str | Path, config: dict, format_version: int = FORMAT_VERSION
+    ) -> None:
+        self._path = path
+        # The rename replaces the file a symlink names, not the link.  A
+        # path that is there but is no regular file (/dev/null, a pipe) is
+        # written in place: a rename would replace the node itself.
+        self._target = Path(os.path.realpath(path))
+        self._temp: Path | None = None
+        if self._target.is_file() or not self._target.exists():
+            self._temp = self._target.with_name(
+                f".{self._target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+            )
+        with self._writing():
+            if self._temp is None:
+                self._file = open(self._target, "w", encoding="utf-8", newline="")
+            else:  # created new (O_EXCL), with the mode the umask gives any record
+                self._file = open(self._temp, "x", encoding="utf-8", newline="")
+        self._opened = False  # whether the entries array has its "["
+        try:
+            with self._writing():
+                out: list[str] = []
+                _emit_fields({"format_version": format_version, "config": config}, out)
+                out[0] = "{" + _line_breaks(0)[0]
+                out += (_line_breaks(0)[1], _key("entries"))
+                self._file.write("".join(out))
+        except BaseException:
+            self.close()
+            raise
+
+    @contextlib.contextmanager
+    def _writing(self):
+        """Raise a failure to render or write the record as RecordError."""
+        try:
+            yield
+        except UnicodeEncodeError as err:
+            raise RecordError(f"cannot write {self._path} as UTF-8: {err}") from None
+        except (ValueError, RecursionError) as err:  # an int past the digit limit; deep nesting
+            raise RecordError(f"cannot write {self._path}: {err}") from None
+        except OSError as err:
+            raise RecordError(f"cannot write {self._path}: {err.strerror}") from None
+
+    def add(self, entries) -> None:
+        """Write `entries` as the next items of the `entries` array."""
+        first, separator, _ = _line_breaks(1)
+        with self._writing():
+            out: list[str] = []
+            for entry in entries:
+                out.append(separator)
+                _emit(entry, out, 2)
+            if out and not self._opened:
+                out[0] = "[" + first
+                self._opened = True
+            self._file.write("".join(out))
+
+    def finish(self, best_mask: str, best_accuracy: float) -> None:
+        """Write the last two fields, then rename the file over `path`."""
+        with self._writing():
+            out = [_line_breaks(1)[2], "]"] if self._opened else ["[]"]
+            _emit_fields({"best_mask": best_mask, "best_accuracy": best_accuracy}, out)
+            out += (_line_breaks(0)[2], "}\n")
+            self._file.write("".join(out))
+            self._file.close()
+            if self._temp is not None:
+                os.replace(self._temp, self._target)
+        self._temp = None
+
+    def close(self) -> None:
+        """Close the file, and remove it unless `finish` renamed it."""
+        self._file.close()
+        if self._temp is not None:
+            self._temp.unlink(missing_ok=True)
+            self._temp = None
+
+    def __enter__(self) -> "OracleRecordWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 def write_oracle_record(record: OracleRecord, path: str | Path) -> None:
-    write_json(record, path)
+    """Write `record` canonically; nothing is written if it cannot be."""
+    with OracleRecordWriter(path, record.config, record.format_version) as writer:
+        writer.add(record.entries)
+        writer.finish(record.best_mask, record.best_accuracy)
 
 
 def read_oracle_record(path: str | Path) -> OracleRecord:

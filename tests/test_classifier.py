@@ -3,6 +3,7 @@
 import fcntl
 import gc
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -592,6 +593,26 @@ class TestExternalEvaluator:
         for child in opened:
             assert child.stdin.closed and child.stdout.closed
             assert child.returncode is not None
+
+    def test_close_kills_a_server_that_closes_its_output_but_keeps_running(
+        self, monkeypatch
+    ):
+        # End of file on the reply pipe is not an exit: close() still waits
+        # for the process, and kills it once its deadline passes.
+        script = (
+            "import os, sys, time\n"
+            "sys.stdin.readline(); print('READY', flush=True)\n"
+            "os.close(sys.stdout.fileno())\n"
+            "time.sleep(30)\n"
+        )
+        monkeypatch.setattr(classifier, "CLOSE_TIMEOUT_S", 0.3)
+        proc = ExternalEvaluator([sys.executable, "-c", script], n=3, timeout=5)
+        child = proc._proc
+        started = time.monotonic()
+        proc.close()
+        assert time.monotonic() - started < 5
+        assert child.returncode == -signal.SIGKILL
+        assert child.stdin.closed and child.stdout.closed
 
     def test_unlaunchable_command(self):
         with pytest.raises(EvaluatorError, match="launch"):

@@ -6,12 +6,13 @@ import io
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfselect import cli
+from qfselect import classifier, cli
 from qfselect.cli import main
 from qfselect.dataset import wine_csv_path
 from qfselect.evolution import EvolutionConfig, evolve
@@ -328,9 +329,46 @@ class TestOracle:
 
     def test_out_of_range_accuracy_names_the_mask(self, planted_argv, monkeypatch, capsys):
         monkeypatch.setattr(cli, "make_evaluator", lambda spec, data: ConstantEvaluator(1.5))
+        out = planted_argv[-1]
+        folder = os.listdir(os.path.dirname(out))
         assert main(planted_argv) == 1
         assert "mask 000" in capsys.readouterr().err
-        assert not os.path.exists(planted_argv[-1])
+        assert os.listdir(os.path.dirname(out)) == folder  # no record, no temporary file
+        # A record already at --out is left as it was.
+        with open(out, "wb") as handle:
+            handle.write(b"an earlier record\n")
+        assert main(planted_argv) == 1
+        assert sorted(os.listdir(os.path.dirname(out))) == sorted(folder + ["oracle.json"])
+        with open(out, "rb") as handle:
+            assert handle.read() == b"an earlier record\n"
+
+    def test_evaluator_that_dies_mid_sweep_leaves_no_debris(self, tmp_path, monkeypatch, capfd):
+        # 2^8 masks are two chunks of 128; the stub answers the first chunk
+        # and exits at the first request of the second, after the first
+        # chunk's entries are written.
+        data = tmp_path / "planted.csv"
+        write_planted_csv(data, n=8, rows=40, informative=(0, 3), seed=6)
+        out = tmp_path / "oracle.json"
+        out.write_bytes(b"an earlier record\n")
+        replies = " ".join([b"OK 0.5".hex()] * 128)
+        argv = [
+            "oracle", "--data", str(data), "--label", "label", "--out", str(out),
+            "--evaluator", "external", "--external-cmd", f"{STUB_CMD} replay {replies}",
+        ]
+        opened = []
+        real_popen = classifier.subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            opened.append(real_popen(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(classifier.subprocess, "Popen", recording_popen)
+        assert main(argv) == 1
+        err = capfd.readouterr().err
+        assert f"error: mask {cli.index_to_mask(128, 8)}: evaluator failed" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle.json", "planted.csv"]
+        assert out.read_bytes() == b"an earlier record\n"
+        assert len(opened) == 1 and opened[0].returncode is not None
 
     def test_csv_that_is_not_utf8_is_an_error_line(self, tmp_path, capsys):
         data = tmp_path / "latin1.csv"
@@ -340,7 +378,7 @@ class TestOracle:
         assert err.startswith(f"error: {data} is not UTF-8")
         assert "Traceback" not in err
 
-    def test_out_in_a_missing_directory_is_runtime_error(self, tmp_path, capsys):
+    def test_out_in_a_missing_directory_is_runtime_error(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "planted.csv"
         write_planted_csv(data, n=2, rows=40, informative=(0,), seed=1)
         out = tmp_path / "missing" / "dir" / "o.json"
@@ -348,10 +386,46 @@ class TestOracle:
             "oracle", "--data", str(data), "--label", "label",
             "--evaluator", "nearest-centroid", "--out", str(out),
         ]
+        calls = []
+
+        class Spy(ConstantEvaluator):
+            def __call__(self, mask):
+                calls.append(mask)
+                return super().__call__(mask)
+
+        def spy_factory(spec, data):
+            calls.append("make_evaluator")
+            return Spy(0.5)
+
+        monkeypatch.setattr(cli, "make_evaluator", spy_factory)
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}")
         assert "Traceback" not in err
+        assert calls == []  # refused before any mask was scored
+
+    def test_sweep_memory_does_not_grow_with_n(self, tmp_path):
+        # The record is written a chunk at a time and no 2^n cache is
+        # kept, so the traced peak is flat in n: at n = 16 the record alone
+        # is over twice the bound, and its entries as dicts take 40 MiB.
+        peaks = {}
+        for n in (12, 16):
+            data = tmp_path / f"planted-{n}.csv"
+            write_planted_csv(data, n=n, rows=60, informative=(0, 2), seed=3)
+            argv = [
+                "oracle", "--data", str(data), "--label", "label",
+                "--evaluator", "nearest-centroid", "--out", str(tmp_path / f"o{n}.json"),
+            ]
+            with contextlib.redirect_stdout(io.StringIO()):
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert (tmp_path / "o16.json").stat().st_size > 4 * 2**20
+        assert peaks[16] < 2 * 2**20
+        assert peaks[16] < 2 * peaks[12]
 
     def test_too_many_features_refused(self, tmp_path):
         n = 21

@@ -7,6 +7,7 @@ from qfselect.errors import EvaluatorError, FitnessError, InsufficientDataError
 from qfselect.objective import (
     EvaluationLedger,
     empirical_auc,
+    evaluate_batch,
     fitness,
     predicted_total_evaluations,
 )
@@ -172,6 +173,11 @@ class TestLedger:
         assert exc.value.mask == "10"
         assert ledger.cache == {"00": 0.25, "01": 0.75}
         assert (ledger.best_mask, ledger.best_accuracy) == ("01", 0.75)
+        # The same check without a ledger, as the oracle sweep makes it.
+        accuracies = []
+        with pytest.raises(FitnessError, match="^mask 10: "):
+            evaluate_batch(["00", "01", "10", "11"], Returns({}), accuracies)
+        assert accuracies == [0.25, 0.75]
 
     def test_a_tie_within_a_batch_goes_to_the_first_seen_mask(self):
         class Batched(CountingEvaluator):

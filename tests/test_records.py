@@ -3,12 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import stat
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qfselect.classifier import EvaluatorSpec, make_evaluator
 from qfselect.dataset import load_csv, stratified_split, wine_csv_path
@@ -20,6 +23,7 @@ from qfselect.records import (
     DistributionRow,
     GenerationEntry,
     OracleRecord,
+    OracleRecordWriter,
     RunRecord,
     RunTotals,
     dumps_canonical,
@@ -335,6 +339,100 @@ class TestOracleRecordRoundTrip:
         write_oracle_record(record, path)
         with pytest.raises(RecordError, match=r"OracleRecord.entries\[0\] must be an object"):
             read_oracle_record(path)
+
+
+ONE_ENTRY = OracleRecord(
+    config={"n": 1}, entries=[{"mask": "1", "accuracy": 0.5}], best_mask="1", best_accuracy=0.5
+)
+oracle_entries = st.lists(
+    st.builds(lambda mask, accuracy: {"mask": mask, "accuracy": accuracy}, masks, finite)
+    | json_object,
+    max_size=40,
+)
+
+
+class TestOracleRecordWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        config=json_object,
+        entries=oracle_entries,
+        chunk=st.integers(1, 41),
+        best_mask=masks,
+        best_accuracy=finite,
+    )
+    @example(config={"n": 1}, entries=[{"mask": "1", "accuracy": 0.5}], chunk=128,
+             best_mask="1", best_accuracy=0.5)  # one entry
+    @example(config={"n": 7}, entries=[{"mask": "0" * 7, "accuracy": 0.25}] * 128,
+             chunk=128, best_mask="0" * 7, best_accuracy=0.25)  # exactly one chunk
+    @example(config={"n": 9}, entries=[{"mask": "1" * 9, "accuracy": 1.0}] * 300,
+             chunk=128, best_mask="1" * 9, best_accuracy=1.0)  # a ragged last chunk
+    def test_streamed_bytes_are_the_whole_records(
+        self, config, entries, chunk, best_mask, best_accuracy
+    ):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "oracle.json"
+            with OracleRecordWriter(path, config) as writer:
+                for start in range(0, len(entries), chunk):
+                    writer.add(entries[start : start + chunk])
+                writer.finish(best_mask, best_accuracy)
+            assert [p.name for p in Path(folder).iterdir()] == ["oracle.json"]
+            record = OracleRecord(
+                config=config, entries=entries, best_mask=best_mask, best_accuracy=best_accuracy
+            )
+            assert path.read_text(encoding="utf-8") == dumps_canonical(record)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"mask": "\ud800"}, "as UTF-8"),
+            ({"mask": 10**5000}, "cannot write"),
+            ({"accuracy": float("nan")}, "non-finite"),
+        ],
+        ids=["surrogate", "int-past-digit-limit", "nan"],
+    )
+    def test_a_failed_write_leaves_the_earlier_file(self, tmp_path, entry, message):
+        path = tmp_path / "oracle.json"
+        path.write_bytes(b"an earlier record\n")
+        with pytest.raises(RecordError, match=message):
+            with OracleRecordWriter(path, {"n": 1}) as writer:
+                writer.add([{"mask": "0", "accuracy": 0.5}])
+                writer.add([entry])
+                writer.finish("0", 0.5)
+        assert [p.name for p in tmp_path.iterdir()] == ["oracle.json"]
+        assert path.read_bytes() == b"an earlier record\n"
+
+    def test_a_writer_closed_unfinished_leaves_nothing(self, tmp_path):
+        with OracleRecordWriter(tmp_path / "oracle.json", {"n": 1}) as writer:
+            writer.add([{"mask": "0", "accuracy": 0.5}])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_directory_is_refused_on_opening(self, tmp_path):
+        with pytest.raises(RecordError, match=f"cannot write {tmp_path}: Is a directory"):
+            OracleRecordWriter(tmp_path, {"n": 1})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_symlink_keeps_naming_the_record(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_bytes(b"an earlier record\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        write_oracle_record(ONE_ENTRY, link)
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == dumps_canonical(ONE_ENTRY)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        # As /dev/null or /dev/stdout would be: a rename would replace the node.
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        write_oracle_record(ONE_ENTRY, pipe)
+        reader.join(timeout=10)
+        assert read == [dumps_canonical(ONE_ENTRY).encode("utf-8")]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 class TestRecordCodec:

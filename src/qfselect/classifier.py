@@ -95,10 +95,10 @@ def _train_ovr(
 
     `keep` is (B, n_features) of 0/1: model b sees only the columns row b
     keeps.  Weights start at zero and a dropped column's gradient is
-    zeroed, so its weight stays exactly +0.0 and model b is the model
-    trained on its kept columns alone.  Returns (classes, weights, biases)
-    with weights (B * n_classes, n_features) and model b's classes at rows
-    b * n_classes onwards.
+    divided by +inf, so its weight stays exactly +0.0 and model b is the
+    model trained on its kept columns alone.  Returns (classes, weights,
+    biases) with weights (B * n_classes, n_features) and model b's classes
+    at rows b * n_classes onwards.
 
     The parameters are class-major: `params[c]`, (n_features + 1, B), holds
     class c's weights and bias for every mask, one column a mask.  Class c
@@ -106,10 +106,12 @@ def _train_ovr(
     with y_c = +1 on class c's rows and -1 elsewhere, so one product gives
     every hinge argument y * margin, and the product of the transposed
     design with the 0/1 hinge indicator gives the gradient.  The bias
-    row's decay is 0, so the bias is not regularized.  An epoch is 9 numpy
+    row's decay is 0, so the bias is not regularized.  An epoch is 8 numpy
     calls into buffers allocated once, each on a cache line; at the batch
     sizes a run makes, the cost of each call, not the arithmetic, sets the
-    time.  The classes are taken by bincount, as in `_centroid_table`.
+    time, so every operand is an array made once per fit, none is
+    broadcast, and every `out` is positional.  The classes are taken by
+    bincount, as in `_centroid_table`.
     """
     classes = np.flatnonzero(np.bincount(labels))
     if classes.size < 2:
@@ -124,12 +126,18 @@ def _train_ovr(
     targets = np.where(labels[None, :] == classes[:, None], 1.0, -1.0)
     design = _aligned_empty((classes.size, n_rows, n_features + 1))
     np.multiply(targets[:, :, None], np.hstack([features, np.ones((n_rows, 1))]), out=design)
-    keep1 = np.ones((n_features + 1, columns))
-    keep1[:n_features] = keep.T
-    decay = np.full((n_features + 1, 1), float(C))
-    decay[n_features] = 0.0
     params = _aligned_empty((classes.size, n_features + 1, columns))
     params[...] = 0.0
+    # The gradient's divisor: n_rows for a kept column and the bias row,
+    # +inf for a dropped column.  It and the decay have the parameters'
+    # full shape: a broadcast operand cost each call 0.5-0.7 us more at
+    # 2-9 masks, more than the extra bytes take to read.
+    rows = _aligned_empty(params.shape)
+    rows[:, :n_features] = np.where(keep.T, float(n_rows), np.inf)
+    rows[:, n_features] = float(n_rows)
+    decay = _aligned_empty(params.shape)
+    decay[...] = float(C)
+    decay[:, n_features] = 0.0
     hinge = _aligned_empty((classes.size, n_rows, columns))
     grad = _aligned_empty(params.shape)
     step = _aligned_empty(params.shape)
@@ -146,19 +154,26 @@ def _train_ovr(
     # integers in {-1, 0, 1}, exact in any order, and the bias step is
     # 0*b - s/n where the plain form takes -s/n, which differ at most in the
     # sign of a zero.  Signed zeros cannot reach `params`: p - (+-0) = p,
-    # and `params` never holds -0.0.  With a single feature column the
-    # plain form's weight gradient is a matrix-vector product, summed in
-    # another order, so there the two differ in the last bits.
-    for t in range(1, epochs + 1):
-        np.matmul(design, params, out=hinge)
-        np.less(hinge, 1.0, out=hinge)  # now 1 where the hinge is active
-        np.matmul(design.transpose(0, 2, 1), hinge, out=grad)
-        grad *= keep1
-        grad /= n_rows
-        np.multiply(params, decay, out=step)
-        step -= grad
-        step *= 1.0 / (C * t)
-        params -= step
+    # and `params` never holds -0.0.  The plain form masks a dropped
+    # column's gradient as (g*0)/n_rows, the zero with g's sign; the kernel
+    # takes g/inf, which for finite g is that same signed zero, and a kept
+    # column's g/n_rows is the plain form's own division.  With a single
+    # feature column the plain form's weight gradient is a matrix-vector
+    # product, summed in another order, so there the two differ in the
+    # last bits.
+    threshold = np.array(1.0)
+    # Python's C*t and 1/(C*t), rounded as the plain form's float scalars.
+    rates = [np.array(1.0 / (C * t)) for t in range(1, epochs + 1)]
+    design_t = design.transpose(0, 2, 1)
+    for rate in rates:
+        np.matmul(design, params, hinge)
+        np.less(hinge, threshold, hinge)  # now 1 where the hinge is active
+        np.matmul(design_t, hinge, grad)
+        np.divide(grad, rows, grad)
+        np.multiply(params, decay, step)
+        np.subtract(step, grad, step)
+        np.multiply(step, rate, step)
+        np.subtract(params, step, params)
     # Back to one row a model, mask b's classes at rows b * n_classes onwards.
     models = params[:, :, :batch].transpose(2, 0, 1).reshape(-1, n_features + 1)
     return classes, models[:, :n_features], models[:, n_features]

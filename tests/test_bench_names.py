@@ -1,7 +1,10 @@
 """The benchmark under bench/ looks up and patches these module attributes
-by name; renaming or removing one breaks it without failing any other test."""
+by name; renaming or removing one breaks it without failing any other test.
+The same holds for the commands recorded in the per-layer evidence files."""
 
 import importlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,13 +25,40 @@ BENCH_NAMES = {
     ),
 }
 
+# The commands recorded in BENCH_train_ovr.json import `classifier as c`
+# and call these names.
+EVIDENCE_FILE = Path(__file__).parents[1] / "BENCH_train_ovr.json"
+EVIDENCE_NAMES = {
+    "qfselect.classifier": (
+        "_train_ovr",
+        "_standardized",
+        "_aligned_empty",
+        "DegenerateTrainingError",
+    ),
+    "qfselect.dataset": ("load_csv", "stratified_split", "wine_csv_path"),
+}
+
+
+def _missing(module_name, names):
+    module = importlib.import_module(module_name)
+    return [name for name in names if not callable(getattr(module, name, None))]
+
 
 @pytest.mark.parametrize("module_name", sorted(BENCH_NAMES))
 def test_bench_lookup_names_resolve(module_name):
-    module = importlib.import_module(module_name)
-    names = BENCH_NAMES[module_name]
-    missing = [name for name in names if not callable(getattr(module, name, None))]
+    missing = _missing(module_name, BENCH_NAMES[module_name])
     assert missing == [], f"{module_name} lacks {missing}"
+
+
+@pytest.mark.parametrize("module_name", sorted(EVIDENCE_NAMES))
+def test_evidence_command_names_resolve(module_name):
+    missing = _missing(module_name, EVIDENCE_NAMES[module_name])
+    assert missing == [], f"{module_name} lacks {missing}"
+
+
+def test_evidence_commands_use_only_listed_names():
+    used = set(re.findall(r"\bc\.(\w+)", EVIDENCE_FILE.read_text()))
+    assert used and used <= set(EVIDENCE_NAMES["qfselect.classifier"])
 
 
 def test_evolve_calls_simulate_with_one_positional_argument(monkeypatch):

@@ -363,10 +363,12 @@ class TestTrainOvr:
         assert features.shape == (60, 48)
         assert np.unique(labels).size == 2
 
+    # A batch of one is padded to two columns; BATCH_MASKS is a full chunk.
+    @pytest.mark.parametrize("batch", [1, 2, 9, classifier.BATCH_MASKS])
     @pytest.mark.parametrize("split", sorted(KERNEL_INPUTS))
-    def test_dropped_columns_stay_positive_zero(self, split):
+    def test_dropped_columns_stay_positive_zero(self, split, batch):
         features, labels = KERNEL_INPUTS[split]
-        keep = np.random.default_rng(3).random((9, features.shape[1])) < 0.5
+        keep = np.random.default_rng(3).random((batch, features.shape[1])) < 0.5
         classes, weights, _ = classifier._train_ovr(features, labels, 1.0, 200, keep)
         dropped = ~np.repeat(keep, classes.size, axis=0)
         assert dropped.any()

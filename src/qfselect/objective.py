@@ -2,14 +2,17 @@
 
 The ledger is the one mutable object a run shares: a mask -> accuracy memo,
 so the classifier trains at most once per mask, that also tracks the best
-mask seen.  The per-generation counts (support sizes and cache misses) are
+mask seen.  Its misses, like each chunk of the oracle sweep, are scored
+by `evaluate_batch` as one batch: one ``evaluate_many`` call, or one call
+per mask for a plain mask -> accuracy callable, then one check of the
+values.  The per-generation counts (support sizes and cache misses) are
 the evolution loop's to log; ``empirical_auc`` integrates the support curve
 it hands over.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,36 +45,28 @@ class EvaluationLedger:
     def score(self, masks: Iterable[str], evaluator: Evaluator) -> list[float]:
         """Accuracies of `masks`, evaluating each uncached one once.
 
-        The misses are evaluated in first-seen order: by one
-        ``evaluator.evaluate_many(misses)`` call when the evaluator has that
-        method, else by one call per miss, checked by `evaluate_batch`.
-        Results enter the cache in that order, so a tie for the best
-        accuracy goes to the first-seen mask.  A mask whose evaluation
-        fails or leaves [0, 1] raises FitnessError and is not cached; the
-        misses before it are.  A FitnessError from ``evaluate_many`` is
-        raised as it is, with none of the batch cached.
+        The misses, in first-seen order, are scored as one batch by
+        `evaluate_batch` and enter the cache in that order, so a tie for
+        the best accuracy goes to the first-seen mask.  When the batch
+        fails, the misses scored before the failure are cached and the
+        rest are not; a failure of ``evaluate_many`` itself caches none.
         """
         masks = list(masks)
         misses = [mask for mask in dict.fromkeys(masks) if mask not in self._cache]
         if misses:
-            accuracies = self._score_misses(misses, evaluator)
+            accuracies: list[float] = []
+            try:
+                evaluate_batch(misses, evaluator, accuracies)
+            finally:  # cache every accuracy taken, up to a failure
+                self._cache.update(zip(misses, accuracies))
+                if accuracies:
+                    best = max(accuracies)  # the first of equal maxima
+                    if best > self.best_accuracy:
+                        self.best_accuracy = best
+                        self.best_mask = misses[accuracies.index(best)]
             if len(accuracies) == len(masks):  # every mask a distinct miss, in order
                 return accuracies
         return [self._cache[mask] for mask in masks]
-
-    def _score_misses(self, misses: list[str], evaluator: Evaluator) -> list[float]:
-        """Evaluate and cache `misses`; on a failure, cache the ones before it and raise."""
-        accuracies: list[float] = []
-        try:
-            evaluate_batch(misses, evaluator, accuracies)
-        finally:  # cache every accuracy taken, up to a failure
-            self._cache.update(zip(misses, accuracies))
-            if accuracies:
-                best = max(accuracies)  # the first of equal maxima
-                if best > self.best_accuracy:
-                    self.best_accuracy = best
-                    self.best_mask = misses[accuracies.index(best)]
-        return accuracies
 
 
 def evaluate_batch(
@@ -79,40 +74,36 @@ def evaluate_batch(
 ) -> list[float]:
     """Accuracies of `masks`, in order, each a float checked to lie in [0, 1].
 
-    The batch is scored by one ``evaluator.evaluate_many(masks)`` call when
-    the evaluator has that method, else by one call per mask.  A mask whose
-    evaluation fails or leaves [0, 1] raises FitnessError naming it.  A
-    FitnessError from ``evaluate_many`` already names its mask and is
-    raised as it is; when ``evaluate_many`` raises anything else, the masks
-    are scored again one call at a time so that the error names its mask.
-    An ``evaluate_many`` result of another length than the batch raises
-    EvaluatorError.  The accuracies are appended to `accuracies` (a new
-    list if None) and it is returned; after a failure it holds those of
-    the masks before the failing one.
+    The batch is one ``evaluator.evaluate_many(masks)`` call when the
+    evaluator has that method; a plain callable is called once per mask,
+    lazily, as the values are checked.  A FitnessError from
+    ``evaluate_many`` is raised as it is; anything else it raises, or a
+    result of another length than the batch, raises EvaluatorError.  A
+    value that is not a float in [0, 1], or a plain callable's failure,
+    raises FitnessError naming its mask.  The accuracies are appended to
+    `accuracies` (a new list if None) and it is returned; after a failure
+    it holds those of the masks before the failing one.
     """
     if accuracies is None:
         accuracies = []
-    values = None
     if hasattr(evaluator, "evaluate_many"):
         try:
             values = list(evaluator.evaluate_many(masks))
         except FitnessError:
             raise
-        except Exception:
-            pass  # scored one call per mask below
-    if values is not None and len(values) != len(masks):
-        raise EvaluatorError(
-            f"evaluate_many returned {len(values)} result(s) for {len(masks)} mask(s)"
-        )
-    checked = None if values is None else _in_range(values)
-    if checked is not None:
-        accuracies += checked
-        return accuracies
-    for i, mask in enumerate(masks):  # one at a time, to name the mask that fails
+        except Exception as err:
+            raise EvaluatorError(
+                f"evaluate_many failed on a batch of {len(masks)} mask(s): {err}"
+            ) from err
+        if len(values) != len(masks):
+            raise EvaluatorError(
+                f"evaluate_many returned {len(values)} result(s) for {len(masks)} mask(s)"
+            )
+    else:
+        values = _one_call_per_mask(masks, evaluator)
+    for mask, value in zip(masks, values):
         try:
-            value = float(evaluator(mask) if values is None else values[i])
-        except FitnessError:
-            raise
+            value = float(value)
         except Exception as err:
             raise FitnessError(f"evaluator failed: {err}", mask=mask) from err
         if not 0.0 <= value <= 1.0:
@@ -121,13 +112,15 @@ def evaluate_batch(
     return accuracies
 
 
-def _in_range(values: list) -> list[float] | None:
-    """The values as floats if every one converts and lies in [0, 1], else None."""
-    try:
-        accuracies = [value for value in map(float, values) if 0.0 <= value <= 1.0]
-    except Exception:
-        return None
-    return accuracies if len(accuracies) == len(values) else None
+def _one_call_per_mask(masks: list[str], evaluator: Evaluator) -> Iterator[object]:
+    """A plain callable's values for `masks`, one call each, as they are taken."""
+    for mask in masks:
+        try:
+            yield evaluator(mask)
+        except FitnessError:
+            raise
+        except Exception as err:
+            raise FitnessError(f"evaluator failed: {err}", mask=mask) from err
 
 
 def fitness(

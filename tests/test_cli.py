@@ -49,6 +49,26 @@ class ConstantEvaluator:
         pass
 
 
+class CallOnly:
+    """An evaluator seen through __call__ and close() alone."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __call__(self, mask):
+        return self._inner(mask)
+
+    def close(self):
+        self._inner.close()
+
+
+class FailingBatch(ConstantEvaluator):
+    """An evaluate_many that fails with an error that names no mask."""
+
+    def evaluate_many(self, masks):
+        raise RuntimeError("socket gone")
+
+
 def run_args(toy_csv, out, **overrides):
     defaults = {
         "generations": "4",
@@ -226,6 +246,14 @@ class TestRun:
         assert err.startswith(f"error: cannot create output directory {out}")
         assert "Traceback" not in err
 
+    def test_failed_batch_is_an_error_line(self, toy_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, data: FailingBatch(0.5))
+        assert main(run_args(toy_csv, tmp_path / "runs", repeat="1")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: evaluate_many failed on a batch of ")
+        assert err.endswith(" mask(s): socket gone\n") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_external_without_command_is_usage_error(self, toy_csv, tmp_path):
         argv = run_args(toy_csv, tmp_path / "runs", evaluator="external")
         assert main(argv) == 2
@@ -266,21 +294,28 @@ class TestOracle:
         assert record.best_mask[0] == "1" and record.best_mask[2] == "1"
         assert record.best_accuracy == max(e["accuracy"] for e in record.entries)
 
-    def test_oracle_record_bytes_are_pinned(self, tmp_path):
+    def test_oracle_record_bytes_are_pinned(self, tmp_path, monkeypatch):
         # Any change to key order, float formatting, string escaping or the
         # sweep itself moves this digest; a change that means to must say so
-        # and update it.
+        # and update it.  An evaluator with only __call__ and close(), the
+        # shape of bench/tracing.py's wrapper, must write the same bytes.
         data = tmp_path / "planted.csv"
         write_planted_csv(data, n=6, rows=60, informative=(1, 4), seed=11)
-        out = tmp_path / "oracle.json"
-        argv = [
-            "oracle", "--data", str(data), "--label", "label",
-            "--evaluator", "nearest-centroid", "--seed", "2", "--out", str(out),
-        ]
-        assert main(argv) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "b094b2f3bb316c04622a0171abb0c757c33cd4bb9e093478ca11eaa02f7d1cdf"
-        )
+        make = cli.make_evaluator
+        for name, factory in [
+            ("evaluate_many", make),
+            ("call-only", lambda spec, split: CallOnly(make(spec, split))),
+        ]:
+            monkeypatch.setattr(cli, "make_evaluator", factory)
+            out = tmp_path / f"oracle-{name}.json"
+            argv = [
+                "oracle", "--data", str(data), "--label", "label",
+                "--evaluator", "nearest-centroid", "--seed", "2", "--out", str(out),
+            ]
+            assert main(argv) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+                "b094b2f3bb316c04622a0171abb0c757c33cd4bb9e093478ca11eaa02f7d1cdf"
+            ), name
 
     def test_external_evaluator_scores_every_mask(self, tmp_path):
         # 2^8 masks: two ledger chunks of 128, each sent as one stream.
@@ -341,6 +376,15 @@ class TestOracle:
         assert sorted(os.listdir(os.path.dirname(out))) == sorted(folder + ["oracle.json"])
         with open(out, "rb") as handle:
             assert handle.read() == b"an earlier record\n"
+
+    def test_failed_batch_is_an_error_line(self, planted_argv, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, data: FailingBatch(0.5))
+        out = planted_argv[-1]
+        folder = os.listdir(os.path.dirname(out))
+        assert main(planted_argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: evaluate_many failed on a batch of 8 mask(s): socket gone\n"
+        assert os.listdir(os.path.dirname(out)) == folder  # no record, no temporary file
 
     def test_evaluator_that_dies_mid_sweep_leaves_no_debris(self, tmp_path, monkeypatch, capfd):
         # 2^8 masks are two chunks of 128; the stub answers the first chunk

@@ -18,6 +18,9 @@ def dist(counts):
     return SampledDistribution(shots=sum(counts.values()), counts=dict(counts))
 
 
+BAD_VALUES = [float("nan"), -0.5, 1.5, "x", None]
+
+
 class CountingEvaluator:
     def __init__(self, table):
         self.table = table
@@ -148,35 +151,49 @@ class TestLedger:
     def test_failed_batch_names_the_failing_mask(self):
         class Batched(CountingEvaluator):
             def evaluate_many(self, masks):
-                return [self(m) for m in masks]
+                return [self.table[m] for m in masks]
 
+        # A batch that fails with anything but a FitnessError is one failed
+        # call: it is not scored again one mask at a time to name a mask.
         ledger = EvaluationLedger()
-        with pytest.raises(FitnessError) as exc:
-            ledger.score(["10", "01"], Batched({"10": 0.5}))
-        assert exc.value.mask == "01"
-        assert ledger.cache == {"10": 0.5}
+        ev = Batched({"10": 0.5})
+        with pytest.raises(EvaluatorError, match="^evaluate_many failed on a batch of 2 mask") as exc:
+            ledger.score(["10", "01"], ev)
+        assert not isinstance(exc.value, FitnessError)
+        assert isinstance(exc.value.__cause__, KeyError)
+        assert ledger.size == 0
+        assert ev.calls == []
 
         with pytest.raises(FitnessError, match="outside") as exc:
             ledger.score(["11", "00"], Batched({"11": 0.5, "00": 1.5}))
         assert exc.value.mask == "00"
         assert "00" not in ledger.cache
 
-    @pytest.mark.parametrize("bad", [float("nan"), -0.5, 1.5, "x", None])
-    def test_a_bad_value_in_a_batch_caches_the_masks_before_it(self, bad):
+    @pytest.mark.parametrize(
+        "bad, form",
+        [pytest.param(bad, "evaluate_many", id=str(bad)) for bad in BAD_VALUES]
+        + [pytest.param(bad, "plain", id=f"{bad}-plain") for bad in BAD_VALUES],
+    )
+    def test_a_bad_value_in_a_batch_caches_the_masks_before_it(self, bad, form):
+        values = {"00": 0.25, "01": 0.75, "10": bad, "11": 0.5}
+
         class Returns(CountingEvaluator):
             def evaluate_many(self, masks):
                 return [0.25, 0.75, bad, 0.5]
 
+        def make():  # the same four values, in mask order, either way
+            return Returns({}) if form == "evaluate_many" else CountingEvaluator(values)
+
         ledger = EvaluationLedger()
         with pytest.raises(FitnessError) as exc:
-            ledger.score(["00", "01", "10", "11"], Returns({}))
+            ledger.score(["00", "01", "10", "11"], make())
         assert exc.value.mask == "10"
         assert ledger.cache == {"00": 0.25, "01": 0.75}
         assert (ledger.best_mask, ledger.best_accuracy) == ("01", 0.75)
         # The same check without a ledger, as the oracle sweep makes it.
         accuracies = []
         with pytest.raises(FitnessError, match="^mask 10: "):
-            evaluate_batch(["00", "01", "10", "11"], Returns({}), accuracies)
+            evaluate_batch(["00", "01", "10", "11"], make(), accuracies)
         assert accuracies == [0.25, 0.75]
 
     def test_a_tie_within_a_batch_goes_to_the_first_seen_mask(self):

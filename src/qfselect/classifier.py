@@ -11,7 +11,6 @@ single mask scores a batch of one.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import select
 import shlex
@@ -24,6 +23,7 @@ import numpy as np
 from .dataset import SplitDataset
 from .errors import DegenerateTrainingError, EvaluatorError, FitnessError
 from .masks import mask_columns, validate_masks
+from .records import check_types
 
 KINDS = ("linear-svm", "nearest-centroid", "external")
 
@@ -39,20 +39,13 @@ class EvaluatorSpec:
     timeout: float = 60.0
 
     def __post_init__(self) -> None:
+        check_types(self)
         if self.kind not in KINDS:
             raise ValueError(f"evaluator kind must be one of {KINDS}, got {self.kind!r}")
-        for name in ("C", "timeout"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.C) and self.C > 0):
             raise ValueError(f"C must be positive and finite, got {self.C}")
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
-            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.external_cmd is not None and not isinstance(self.external_cmd, str):
-            raise ValueError(f"external_cmd must be a string, got {self.external_cmd!r}")
         if self.kind == "external":
             _argv(self.external_cmd or "")
         if not (math.isfinite(self.timeout) and self.timeout > 0):

@@ -12,13 +12,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .objective import EvaluationLedger, Evaluator, empirical_auc, fitness, predicted_total_evaluations
-from .records import DistributionRow, GenerationEntry, RunRecord, RunTotals
+from .records import DistributionRow, GenerationEntry, RunRecord, RunTotals, check_types
 from .simulator import (
     Circuit,
     Gate,
@@ -46,10 +45,7 @@ class MutationConfig:
     sigma_modify: float = math.pi / 10
 
     def __post_init__(self) -> None:
-        for name in ("p_insert", "p_modify", "p_delete", "p_swap", "sigma_modify"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+        check_types(self)
         probs = (self.p_insert, self.p_modify, self.p_delete, self.p_swap)
         if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ValueError(f"mutation probabilities must lie in [0, 1], got {probs}")
@@ -78,10 +74,7 @@ class EvolutionConfig:
     mutation: MutationConfig = field(default_factory=MutationConfig)
 
     def __post_init__(self) -> None:
-        for name in ("n", "mu", "lambda_", "generations", "shots", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_types(self)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         for name in ("mu", "lambda_", "generations", "shots"):
@@ -89,8 +82,6 @@ class EvolutionConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not isinstance(self.mutation, MutationConfig):
-            raise ValueError(f"mutation must be a MutationConfig, got {self.mutation!r}")
 
     def to_dict(self) -> dict:
         """Fields in declaration order, `lambda_` written as "lambda"."""

@@ -27,7 +27,9 @@ import contextlib
 import functools
 import json
 import math
+import numbers
 import os
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -192,18 +194,23 @@ def dumps_canonical(value) -> str:
     return "".join(out) + "\n"
 
 
-def write_json(value, path: str | Path) -> None:
-    """Write `value` canonically as UTF-8; nothing is written if it cannot be."""
+@contextlib.contextmanager
+def _writing(path: str | Path):
+    """Raise a failure to render or write the record at `path` as RecordError."""
     try:
-        data = dumps_canonical(value).encode("utf-8")
+        yield
     except UnicodeEncodeError as err:
         raise RecordError(f"cannot write {path} as UTF-8: {err}") from None
     except (ValueError, RecursionError) as err:  # an int past the digit limit; deep nesting
         raise RecordError(f"cannot write {path}: {err}") from None
-    try:
-        Path(path).write_bytes(data)
     except OSError as err:
         raise RecordError(f"cannot write {path}: {err.strerror}") from None
+
+
+def write_json(value, path: str | Path) -> None:
+    """Write `value` canonically as UTF-8; nothing is written if it cannot be."""
+    with _writing(path):
+        Path(path).write_bytes(dumps_canonical(value).encode("utf-8"))
 
 
 def _load_json(path: str | Path):
@@ -226,23 +233,44 @@ def _load_json(path: str | Path):
         raise RecordError(f"corrupt record {path}: nested too deeply") from None
 
 
-# The JSON type each field annotation takes; a bool is neither integer
-# nor number.
+# The one table of field types for configs and records: each type name of
+# an annotation, its text in messages, and its types (builtins first: an ABC
+# alone is ten times slower).  numpy numbers pass; no bool is int or float.
 _JSON_TYPES = {
     "dict": ("an object", dict),
     "list": ("an array", list),
     "str": ("a string", str),
-    "int": ("an integer", int),
-    "float": ("a number", (int, float)),
+    "int": ("an integer", (int, numbers.Integral)),
+    "float": ("a real number", (float, int, numbers.Real)),
+    "None": ("None", type(None)),
 }
 
 
-def _from_dict(cls, raw):
-    """Build dataclass `cls` from a JSON object that holds every field.
+def has_type(value, name: str) -> bool:
+    """Whether `value` has the type that table name `name` stands for."""
+    return isinstance(value, _JSON_TYPES[name][1]) and not isinstance(value, bool)
 
-    Each value is decoded by its field's annotation.  A `format_version`
-    field must equal FORMAT_VERSION.
-    """
+
+def check_types(config) -> None:
+    """Raise ValueError unless each field of dataclass `config` has its annotation's
+    type: a table name, a class of its module, or several joined by " | "."""
+    module = vars(sys.modules[type(config).__module__])
+    for f in fields(config):
+        value = getattr(config, f.name)
+        names = f.type.split(" | ")
+        if not any(
+            has_type(value, name) if name in _JSON_TYPES else isinstance(value, module[name])
+            for name in names
+        ):
+            kinds = " or ".join(
+                _JSON_TYPES[name][0] if name in _JSON_TYPES else "a " + name for name in names
+            )
+            raise ValueError(f"{f.name} must be {kinds}, got {value!r}")
+
+
+def _from_dict(cls, raw):
+    """Build dataclass `cls` from a JSON object that holds every field, each
+    decoded by its annotation; a `format_version` must equal FORMAT_VERSION."""
     if not isinstance(raw, dict):
         raise RecordError(f"{cls.__name__} must be a JSON object, got {type(raw).__name__}")
     names = [f.name for f in fields(cls)]
@@ -272,9 +300,8 @@ def _decode(annotation: str, value, where: str):
     if annotation in _ROWS:
         return _from_dict(_ROWS[annotation], value)
     outer, _, item = annotation.partition("[")
-    kind, types = _JSON_TYPES[outer]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise RecordError(f"{where} must be {kind}, got {value!r:.40}")
+    if not has_type(value, outer):
+        raise RecordError(f"{where} must be {_JSON_TYPES[outer][0]}, got {value!r:.40}")
     if item:
         return [_decode(item[:-1], v, f"{where}[{i}]") for i, v in enumerate(value)]
     return value
@@ -327,14 +354,14 @@ class OracleRecordWriter:
             self._temp = self._target.with_name(
                 f".{self._target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
             )
-        with self._writing():
+        with _writing(self._path):
             if self._temp is None:
                 self._file = open(self._target, "w", encoding="utf-8", newline="")
             else:  # created new (O_EXCL), with the mode the umask gives any record
                 self._file = open(self._temp, "x", encoding="utf-8", newline="")
         self._opened = False  # whether the entries array has its "["
         try:
-            with self._writing():
+            with _writing(self._path):
                 out: list[str] = []
                 _emit_fields({"format_version": format_version, "config": config}, out)
                 out[0] = "{" + _line_breaks(0)[0]
@@ -344,22 +371,10 @@ class OracleRecordWriter:
             self.close()
             raise
 
-    @contextlib.contextmanager
-    def _writing(self):
-        """Raise a failure to render or write the record as RecordError."""
-        try:
-            yield
-        except UnicodeEncodeError as err:
-            raise RecordError(f"cannot write {self._path} as UTF-8: {err}") from None
-        except (ValueError, RecursionError) as err:  # an int past the digit limit; deep nesting
-            raise RecordError(f"cannot write {self._path}: {err}") from None
-        except OSError as err:
-            raise RecordError(f"cannot write {self._path}: {err.strerror}") from None
-
     def add(self, entries) -> None:
         """Write `entries` as the next items of the `entries` array."""
         first, separator, _ = _line_breaks(1)
-        with self._writing():
+        with _writing(self._path):
             out: list[str] = []
             for entry in entries:
                 out.append(separator)
@@ -371,7 +386,7 @@ class OracleRecordWriter:
 
     def finish(self, best_mask: str, best_accuracy: float) -> None:
         """Write the last two fields, then rename the file over `path`."""
-        with self._writing():
+        with _writing(self._path):
             out = [_line_breaks(1)[2], "]"] if self._opened else ["[]"]
             _emit_fields({"best_mask": best_mask, "best_accuracy": best_accuracy}, out)
             out += (_line_breaks(0)[2], "}\n")

@@ -51,6 +51,7 @@ import numpy as np
 
 from .errors import InvalidGateError, StateSizeError
 from .masks import index_to_mask
+from .records import has_type
 
 
 class GateKind(Enum):
@@ -87,7 +88,12 @@ class Gate:
     angle: float
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        qubits = tuple(self.qubits)
+        if not all(has_type(q, "int") for q in qubits):
+            raise InvalidGateError(f"qubit indices must be integers, got {qubits!r}")
+        if not has_type(self.angle, "float"):
+            raise InvalidGateError(f"gate angle must be a real number, got {self.angle!r}")
+        object.__setattr__(self, "qubits", tuple(int(q) for q in qubits))
         object.__setattr__(self, "angle", float(self.angle))
         if len(self.qubits) != self.kind.n_qubits:
             raise InvalidGateError(
@@ -110,6 +116,8 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        if not has_type(self.n, "int"):
+            raise InvalidGateError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InvalidGateError(f"need at least one qubit, got n={self.n}")
         for gate in self.gates:

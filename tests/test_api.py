@@ -1,10 +1,17 @@
 """The documented API: the README's library quick start runs as written,
-and every name the package exports resolves."""
+every name the package exports resolves, and every config and record
+field has a type the one annotation rule knows."""
 
 import re
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import qfselect
+from qfselect import records
+from qfselect.classifier import EvaluatorSpec
+from qfselect.evolution import EvolutionConfig, MutationConfig
+from qfselect.records import DistributionRow, GenerationEntry, OracleRecord, RunRecord, RunTotals
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +27,38 @@ def test_every_exported_name_resolves():
     missing = [name for name in qfselect.__all__ if not hasattr(qfselect, name)]
     assert missing == []
     assert len(set(qfselect.__all__)) == len(qfselect.__all__)
+
+
+def _config_annotation_has_a_rule(annotation, module):
+    # `records.check_types` reads a table name or a class of the config's
+    # module, or several of these joined by " | ".
+    return all(
+        name in records._JSON_TYPES or isinstance(getattr(module, name, None), type)
+        for name in annotation.split(" | ")
+    )
+
+
+def _record_annotation_has_a_rule(annotation):
+    # `records._decode` reads a table name, a record row, or a list of these.
+    outer, _, item = annotation.partition("[")
+    if item:
+        return outer == "list" and _record_annotation_has_a_rule(item[:-1])
+    return annotation in records._JSON_TYPES or annotation in records._ROWS
+
+
+def test_every_config_and_record_field_has_a_type_rule():
+    # A field of a type the one rule does not know would otherwise fail
+    # only at its first use.
+    unknown = [
+        f"{cls.__name__}.{f.name}: {f.type}"
+        for cls in (EvaluatorSpec, MutationConfig, EvolutionConfig)
+        for f in fields(cls)
+        if not _config_annotation_has_a_rule(f.type, sys.modules[cls.__module__])
+    ]
+    unknown += [
+        f"{cls.__name__}.{f.name}: {f.type}"
+        for cls in (RunRecord, OracleRecord, GenerationEntry, DistributionRow, RunTotals)
+        for f in fields(cls)
+        if not _record_annotation_has_a_rule(f.type)
+    ]
+    assert unknown == []

@@ -118,6 +118,13 @@ class TestEvaluatorSpec:
             ("timeout", "5", "timeout must be a real number"),
             ("external_cmd", ["python3", "server.py"], "external_cmd must be a string"),
             ("external_cmd", b"python3", "external_cmd must be a string"),
+            ("external_cmd", True, "external_cmd must be a string"),
+            ("kind", True, "kind must be a string"),
+            ("kind", None, "kind must be a string"),
+            ("epochs", True, "epochs must be an integer"),
+            ("epochs", "200", "epochs must be an integer"),
+            ("epochs", None, "epochs must be an integer"),
+            ("timeout", None, "timeout must be a real number"),
         ],
     )
     def test_refuses_a_field_of_the_wrong_type(self, field, value, message):

@@ -350,7 +350,13 @@ class TestEvolve:
             ("shots", 8.5),
             ("seed", 1.5),
             ("seed", False),
-        ],
+        ]
+        + [
+            (name, value)
+            for name in ("n", "mu", "lambda_", "generations", "shots", "seed")
+            for value in (None, "3")
+        ]
+        + [(name, True) for name in ("n", "lambda_", "generations", "shots")],
     )
     def test_config_refuses_non_integer_fields(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):

@@ -314,6 +314,32 @@ class TestRunRecordRoundTrip:
             read_run_record(path)
 
 
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("totals", "cache_size"), "RunTotals.cache_size must be an integer"),
+            (("totals", "empirical_auc"), "RunTotals.empirical_auc must be a real number"),
+            (
+                ("generations", 0, "parent_fitness", 0),
+                "GenerationEntry.parent_fitness[0] must be a real number",
+            ),
+        ],
+    )
+    def test_a_bool_field_is_refused_at_its_path(self, tmp_path, keys, message):
+        # A bool is neither an integer nor a real number, in a record as in a config.
+        raw = json.loads(dumps_canonical(sample_record()))
+        parent = raw
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = True
+        path = tmp_path / "bool.json"
+        records.write_json(raw, path)
+        assert b"true" in path.read_bytes()
+        with pytest.raises(RecordError) as info:
+            read_run_record(path)
+        assert str(info.value) == f"{message}, got True"
+
+
 class TestOracleRecordRoundTrip:
     def test_identity(self, tmp_path):
         record = OracleRecord(

@@ -187,6 +187,20 @@ class TestGateMatrices:
         for angle in (math.nan, math.inf, -math.inf):
             with pytest.raises(InvalidGateError, match="finite"):
                 Gate(GateKind.RX, (0,), angle)
+        # Integers and reals only, and no bool, caught before a run can use them.
+        for n in (2.0, True, np.True_, "3", None):
+            with pytest.raises(InvalidGateError, match="n must be an integer"):
+                Circuit(n)
+        for qubit in (0.7, True, np.True_, "a", None):
+            with pytest.raises(InvalidGateError, match="qubit indices must be integers"):
+                Gate(GateKind.RX, (qubit,), 1.0)
+        for angle in ("1.5", True, None, 1j):
+            with pytest.raises(InvalidGateError, match="angle must be a real number"):
+                Gate(GateKind.RX, (0,), angle)
+        gate = Gate(GateKind.RXX, (np.int64(2), np.int32(0)), np.float32(0.5))
+        assert gate.qubits == (2, 0) and type(gate.qubits[0]) is int
+        assert gate.angle == 0.5 and type(gate.angle) is float
+        assert Circuit(np.int64(3), (gate,)).n == 3
 
 
 class TestApplyGate:

@@ -10,6 +10,7 @@ single mask scores a batch of one.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import select
@@ -74,6 +75,17 @@ def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     return raw[start:start + nbytes].view(np.float64).reshape(shape)
 
 
+@functools.lru_cache(maxsize=1)
+def _rates(C: float, epochs: int) -> tuple[np.ndarray, ...]:
+    """Epoch t's learning rate 1/(C*t) for t = 1..epochs, each a 0-d array.
+
+    Python's C*t and 1/(C*t), rounded as the plain form's float scalars.
+    Made once per (C, epochs), not once per fit; only the last pair is
+    kept, so a large `epochs` does not stay resident.
+    """
+    return tuple(np.array(1.0 / (C * t)) for t in range(1, epochs + 1))
+
+
 def _train_ovr(
     features: np.ndarray,
     labels: np.ndarray,
@@ -87,19 +99,25 @@ def _train_ovr(
     learning rate 1/(C*t) in epoch t.
 
     `keep` is (B, n_features) of 0/1: model b sees only the columns row b
-    keeps.  Weights start at zero and a dropped column's gradient is
-    divided by +inf, so its weight stays exactly +0.0 and model b is the
-    model trained on its kept columns alone.  Returns (classes, weights,
-    biases) with weights (B * n_classes, n_features) and model b's classes
-    at rows b * n_classes onwards.
+    keeps.  Returns (classes, weights, biases) with weights
+    (B * n_classes, n_features) and model b's classes at rows
+    b * n_classes onwards.  A column that row b drops has weight exactly
+    +0.0 in model b, so model b is the model trained on its kept columns
+    alone.
 
-    The parameters are class-major: `params[c]`, (n_features + 1, B), holds
+    Only the columns some row keeps, `used`, are fitted, with the bias
+    after them; a column the whole batch drops is never read and its
+    weights are the zeros they start at.  Within `used`, weights start at
+    zero and a dropped column's gradient is divided by +inf, so its
+    weight stays +0.0.
+
+    The parameters are class-major: `params[c]`, (used + 1, B), holds
     class c's weights and bias for every mask, one column a mask.  Class c
-    trains on its own signed design, `design[c] = y_c * [features | 1]`
+    trains on its own signed design, `design[c] = y_c * [features[:, used] | 1]`
     with y_c = +1 on class c's rows and -1 elsewhere, so one product gives
     every hinge argument y * margin, and the product of the transposed
     design with the 0/1 hinge indicator gives the gradient.  The bias
-    row's decay is 0, so the bias is not regularized.  An epoch is 8 numpy
+    row's decay is 0, so the bias is not regularized.  An epoch is 9 numpy
     calls into buffers allocated once, each on a cache line; at the batch
     sizes a run makes, the cost of each call, not the arithmetic, sets the
     time, so every operand is an array made once per fit, none is
@@ -113,30 +131,36 @@ def _train_ovr(
         )
     n_rows, n_features = features.shape
     batch = keep.shape[0]
+    used = np.flatnonzero(keep.any(axis=0))
+    width = used.size + 1  # the used columns, then the bias
     # A one-column product goes to BLAS gemv, which sums in another order
     # than gemm; a batch of one is fitted as two equal columns instead.
     columns = max(batch, 2)
     targets = np.where(labels[None, :] == classes[:, None], 1.0, -1.0)
-    design = _aligned_empty((classes.size, n_rows, n_features + 1))
-    np.multiply(targets[:, :, None], np.hstack([features, np.ones((n_rows, 1))]), out=design)
-    params = _aligned_empty((classes.size, n_features + 1, columns))
+    design = _aligned_empty((classes.size, n_rows, width))
+    np.multiply(targets[:, :, None], np.hstack([features[:, used], np.ones((n_rows, 1))]), out=design)
+    params = _aligned_empty((classes.size, width, columns))
     params[...] = 0.0
     # The gradient's divisor: n_rows for a kept column and the bias row,
     # +inf for a dropped column.  It and the decay have the parameters'
     # full shape: a broadcast operand cost each call 0.5-0.7 us more at
     # 2-9 masks, more than the extra bytes take to read.
     rows = _aligned_empty(params.shape)
-    rows[:, :n_features] = np.where(keep.T, float(n_rows), np.inf)
-    rows[:, n_features] = float(n_rows)
+    rows[:, :-1] = np.where(keep[:, used].T, float(n_rows), np.inf)
+    rows[:, -1] = float(n_rows)
     decay = _aligned_empty(params.shape)
     decay[...] = float(C)
-    decay[:, n_features] = 0.0
+    decay[:, -1] = 0.0
     hinge = _aligned_empty((classes.size, n_rows, columns))
+    # The hinge test writes bools, then one contiguous copy makes them the
+    # float indicator: a float `out` for np.less costs a buffered cast,
+    # about 2 us an epoch at 9 masks and 20 us at 128.
+    active = np.empty(hinge.shape, dtype=bool)
     grad = _aligned_empty(params.shape)
     step = _aligned_empty(params.shape)
     # The weights and biases are bit for bit those of the plain form (a
     # product, a bias broadcast, a target multiply, a separate bias
-    # gradient), for four reasons.  Negation is exact and rounding is
+    # gradient), for five reasons.  Negation is exact and rounding is
     # symmetric in sign, so each term (y*x)*w of the forward product is
     # y*(x*w) and its sum is y times the plain margin.  Each term of the
     # backward product, (y*x)*a with a in {0, 1}, is the plain form's
@@ -150,17 +174,20 @@ def _train_ovr(
     # and `params` never holds -0.0.  The plain form masks a dropped
     # column's gradient as (g*0)/n_rows, the zero with g's sign; the kernel
     # takes g/inf, which for finite g is that same signed zero, and a kept
-    # column's g/n_rows is the plain form's own division.  With a single
-    # feature column the plain form's weight gradient is a matrix-vector
-    # product, summed in another order, so there the two differ in the
-    # last bits.
+    # column's g/n_rows is the plain form's own division.  A column the
+    # whole batch drops keeps +0.0 in the plain form too, so each of its
+    # forward terms x*(+0.0) is a zero; leaving exact zeros out of a sum
+    # changes at most the sign of a zero sum, which `hinge < 1` cannot see,
+    # and the used columns keep their order, the bias still last.  With a
+    # single feature column the plain form's weight gradient is a
+    # matrix-vector product, summed in another order, so there the two
+    # differ in the last bits.
     threshold = np.array(1.0)
-    # Python's C*t and 1/(C*t), rounded as the plain form's float scalars.
-    rates = [np.array(1.0 / (C * t)) for t in range(1, epochs + 1)]
     design_t = design.transpose(0, 2, 1)
-    for rate in rates:
+    for rate in _rates(C, epochs):
         np.matmul(design, params, hinge)
-        np.less(hinge, threshold, hinge)  # now 1 where the hinge is active
+        np.less(hinge, threshold, active)
+        np.copyto(hinge, active)  # now 1.0 where the hinge is active, else +0.0
         np.matmul(design_t, hinge, grad)
         np.divide(grad, rows, grad)
         np.multiply(params, decay, step)
@@ -168,8 +195,10 @@ def _train_ovr(
         np.multiply(step, rate, step)
         np.subtract(params, step, params)
     # Back to one row a model, mask b's classes at rows b * n_classes onwards.
-    models = params[:, :, :batch].transpose(2, 0, 1).reshape(-1, n_features + 1)
-    return classes, models[:, :n_features], models[:, n_features]
+    models = params[:, :, :batch].transpose(2, 0, 1).reshape(-1, width)
+    weights = np.zeros((models.shape[0], n_features))
+    weights[:, used] = models[:, :-1]
+    return classes, weights, models[:, -1]
 
 
 def _standardized(rows: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:

@@ -88,6 +88,10 @@ class Gate:
     angle: float
 
     def __post_init__(self):
+        if not isinstance(self.kind, GateKind):
+            raise InvalidGateError(f"gate kind must be a GateKind, got {self.kind!r}")
+        if not isinstance(self.qubits, (tuple, list)):
+            raise InvalidGateError(f"qubits must be a tuple of indices, got {self.qubits!r}")
         qubits = tuple(self.qubits)
         if not all(has_type(q, "int") for q in qubits):
             raise InvalidGateError(f"qubit indices must be integers, got {qubits!r}")
@@ -115,12 +119,16 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.gates, (tuple, list)):
+            raise InvalidGateError(f"gates must be a tuple of Gates, got {self.gates!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
         if not has_type(self.n, "int"):
             raise InvalidGateError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InvalidGateError(f"need at least one qubit, got n={self.n}")
         for gate in self.gates:
+            if not isinstance(gate, Gate):
+                raise InvalidGateError(f"gates must be Gates, got {gate!r}")
             if any(q >= self.n for q in gate.qubits):
                 raise InvalidGateError(
                     f"gate {gate.kind.value} on {gate.qubits} exceeds n={self.n}"

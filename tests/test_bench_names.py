@@ -26,7 +26,8 @@ BENCH_NAMES = {
 }
 
 # The commands recorded in BENCH_train_ovr.json import `classifier as c`
-# and call these names.
+# and call these names; the kept-columns command replays the wine
+# experiment through make_evaluator and evolve.
 EVIDENCE_FILE = Path(__file__).parents[1] / "BENCH_train_ovr.json"
 EVIDENCE_NAMES = {
     "qfselect.classifier": (
@@ -34,8 +35,11 @@ EVIDENCE_NAMES = {
         "_standardized",
         "_aligned_empty",
         "DegenerateTrainingError",
+        "EvaluatorSpec",
+        "make_evaluator",
     ),
     "qfselect.dataset": ("load_csv", "stratified_split", "wine_csv_path"),
+    "qfselect.evolution": ("EvolutionConfig", "evolve"),
 }
 
 

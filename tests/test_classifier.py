@@ -312,17 +312,26 @@ KERNEL_INPUTS = {
 
 
 class TestTrainOvr:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         split=st.sampled_from(sorted(KERNEL_INPUTS)),
         batch=st.integers(1, classifier.BATCH_MASKS),
         C=st.sampled_from([0.25, 1.0, 3.0]),
         epochs=st.sampled_from([1, 2, 200]),
         seed=st.integers(0, 2**32 - 1),
+        narrow=st.booleans(),
     )
-    def test_bit_identical_to_reference(self, split, batch, C, epochs, seed):
+    def test_bit_identical_to_reference(self, split, batch, C, epochs, seed, narrow):
         features, labels = KERNEL_INPUTS[split]
-        keep = np.random.default_rng(seed).random((batch, features.shape[1])) < 0.5
+        width = features.shape[1]
+        rng = np.random.default_rng(seed)
+        keep = rng.random((batch, width)) < 0.5
+        if narrow:
+            # Every row within one subset of 1..F columns, keeping at least
+            # one of them: the fit leaves the other columns out entirely.
+            used = rng.choice(width, rng.integers(1, width + 1), replace=False)
+            keep[:, np.setdiff1d(np.arange(width), used)] = False
+            keep[np.arange(batch), rng.choice(used, batch)] = True
         classes, weights, biases = classifier._train_ovr(features, labels, C, epochs, keep)
         ref_classes, ref_weights, ref_biases = reference_train_ovr(
             features, labels, C, epochs, keep
@@ -376,7 +385,9 @@ class TestTrainOvr:
     def test_dropped_columns_stay_positive_zero(self, split, batch):
         features, labels = KERNEL_INPUTS[split]
         keep = np.random.default_rng(3).random((batch, features.shape[1])) < 0.5
+        keep[:, 1] = False  # a column the whole batch drops is never fitted
         classes, weights, _ = classifier._train_ovr(features, labels, 1.0, 200, keep)
+        assert weights.shape == (batch * classes.size, features.shape[1])
         dropped = ~np.repeat(keep, classes.size, axis=0)
         assert dropped.any()
         assert np.all(weights[dropped] == 0.0)
@@ -425,8 +436,16 @@ class TestEvaluateMany:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_accuracies_do_not_depend_on_the_batch_size(self, kind, seed):
         # Running the masks of several runs, or of a whole oracle chunk, in
-        # one batch relies on each mask's accuracy being the same in any batch.
-        rows = np.random.default_rng(seed).random((256, 13)) < 0.5
+        # one batch relies on each mask's accuracy being the same in any batch,
+        # whatever columns its batch-mates keep: a fit leaves out the columns
+        # no mask of its batch keeps.  So 128 masks keep columns of one
+        # 4-column subset only, and 64 keep each column with p = 0.12.
+        rng = np.random.default_rng(seed)
+        rows = rng.random((256, 13)) < 0.5
+        narrow = rng.random((128, 13)) < 0.5
+        narrow[:, rng.permutation(13)[4:]] = False
+        sparse = rng.random((64, 13)) < 0.12
+        rows = np.vstack([rows, narrow, sparse])
         masks = ["".join("1" if kept else "0" for kept in row) for row in rows]
         ev = make_evaluator(EvaluatorSpec(kind=kind), WINE_SPLIT)
         results = []

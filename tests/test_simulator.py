@@ -197,6 +197,16 @@ class TestGateMatrices:
         for angle in ("1.5", True, None, 1j):
             with pytest.raises(InvalidGateError, match="angle must be a real number"):
                 Gate(GateKind.RX, (0,), angle)
+        # A wrong container or kind is refused by name, not as a bare TypeError
+        # or AttributeError from deeper in.
+        with pytest.raises(InvalidGateError, match="qubits must be a tuple"):
+            Gate(GateKind.RX, 0, 1.0)
+        with pytest.raises(InvalidGateError, match="gate kind must be a GateKind"):
+            Gate("rx", (0,), 1.0)
+        with pytest.raises(InvalidGateError, match="gates must be a tuple"):
+            Circuit(2, 5)
+        with pytest.raises(InvalidGateError, match="gates must be Gates"):
+            Circuit(2, (1,))
         gate = Gate(GateKind.RXX, (np.int64(2), np.int32(0)), np.float32(0.5))
         assert gate.qubits == (2, 0) and type(gate.qubits[0]) is int
         assert gate.angle == 0.5 and type(gate.angle) is float

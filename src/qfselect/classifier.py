@@ -292,9 +292,10 @@ class ExternalEvaluator:
     server that answers each line before it reads the next serves a batch
     of any size, and so does one that reads the whole batch first; calling
     the evaluator on one mask is a batch of one.  Each reply must come
-    within the timeout of the one before it.  The process is reused for
-    every mask of a run.  The client waits on its pipes with select(), so it
-    needs a POSIX system.
+    within the timeout of the one before it, and a reply line that was not
+    asked for kills the process.  The process is reused for every mask of
+    a run.  The client waits on its pipes with select(), so it needs a
+    POSIX system.
     """
 
     def __init__(self, command: str | list[str], n: int, timeout: float = 60.0):
@@ -304,7 +305,6 @@ class ExternalEvaluator:
             raise EvaluatorError(str(err)) from None
         self.n = n
         self._timeout = timeout
-        self._unread = b""  # bytes received after the last complete reply
         try:
             self._proc = subprocess.Popen(
                 argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
@@ -330,18 +330,22 @@ class ExternalEvaluator:
         Returns the lines read and, if fewer than `count` came, why the next
         one did not.  The loop writes what the pipe takes before it waits,
         and waits only for the pipe to drain or a reply to arrive, each
-        reply at most the timeout after the one before it.  The whole
-        request is written even when lines left from an earlier exchange
-        already fill `count`, so that the server reads every line it was
-        sent.  A server that stops reading its input is left to its replies:
-        the first one missing ends the exchange.
+        reply at most the timeout after the one before it.  A server that
+        stops reading its input is left to its replies: the first one
+        missing ends the exchange.  No reply is kept for the next exchange:
+        a byte that comes before the request or past its last reply means
+        the stream is out of step, and kills the server with EvaluatorError.
         """
         try:
             out, fd = self._proc.stdin.fileno(), self._proc.stdout.fileno()
         except ValueError as err:  # closed
             return [], EvaluatorError(f"evaluator process is gone: {err}")
+        if select.select([fd], [], [], 0)[0] and os.read(fd, 65536):  # b"" at end of file
+            self._proc.kill()
+            raise EvaluatorError("evaluator sent a reply not asked for, before the request")
         pending = memoryview(request)
-        *lines, self._unread = self._unread.split(b"\n")
+        lines: list[bytes] = []
+        unread = b""  # the start of a reply line still to come
         deadline = time.monotonic() + self._timeout
         while True:
             if pending:
@@ -365,13 +369,13 @@ class ExternalEvaluator:
             chunk = os.read(fd, 65536)
             if not chunk:
                 return lines, self._closed(deadline)
-            *complete, self._unread = (self._unread + chunk).split(b"\n")
+            *complete, unread = (unread + chunk).split(b"\n")
             if complete:
                 lines += complete
                 deadline = time.monotonic() + self._timeout
-        if len(lines) > count:  # lines sent unasked are read by the next exchange
-            self._unread = b"\n".join(lines[count:] + [self._unread])
-            del lines[count:]
+        if len(lines) > count or unread:
+            self._proc.kill()
+            raise EvaluatorError(f"evaluator sent a reply not asked for, after the {count} asked for")
         return lines, None
 
     def _closed(self, deadline: float) -> EvaluatorError:
@@ -396,7 +400,8 @@ class ExternalEvaluator:
         raises FitnessError naming the first mask left without an accuracy.
         The replies are all read before any is parsed, so an ERR reply
         leaves the stream in step, and an earlier mask's bad reply is the
-        failure reported, as it would be one request at a time.
+        failure reported, as it would be one request at a time.  A reply
+        line that was not asked for raises EvaluatorError, naming no mask.
         """
         validate_masks(masks, self.n)
         if not masks:

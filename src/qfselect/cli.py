@@ -24,7 +24,7 @@ from .dataset import Dataset, load_csv, stratified_split
 from .errors import OracleLimitError, QfselectError, RecordError
 from .evolution import EvolutionConfig, MutationConfig, evolve
 from .masks import index_to_mask
-from .objective import evaluate_batch
+from .objective import evaluate_batch, first_best
 from .records import (
     OracleRecordWriter,
     RunRecord,
@@ -322,9 +322,7 @@ def cmd_oracle(args) -> int:
                 masks = [index_to_mask(index, n) for index in range(start, stop)]
                 accuracies = evaluate_batch(masks, evaluator)
                 writer.add([{"mask": m, "accuracy": a} for m, a in zip(masks, accuracies)])
-                best = max(accuracies)  # the first of equal maxima
-                if best > best_accuracy:
-                    best_accuracy, best_mask = best, masks[accuracies.index(best)]
+                best_mask, best_accuracy = first_best(masks, accuracies, best_mask, best_accuracy)
         finally:
             evaluator.close()
         writer.finish(best_mask, best_accuracy)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError
+from .records import has_type
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitDat
     """
     if not 0.0 < test_fraction < 1.0:
         raise DatasetError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not has_type(seed, "int") or seed < 0:
         raise DatasetError(f"seed must be a non-negative integer, got {seed!r}")
     counts = data.class_counts()
     if counts.min() < 2:

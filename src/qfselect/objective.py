@@ -47,45 +47,38 @@ class EvaluationLedger:
 
         The misses, in first-seen order, are scored as one batch by
         `evaluate_batch` and enter the cache in that order, so a tie for
-        the best accuracy goes to the first-seen mask.  When the batch
-        fails, the misses scored before the failure are cached and the
-        rest are not; a failure of ``evaluate_many`` itself caches none.
+        the best accuracy goes to the first-seen mask.  A batch is all or
+        nothing: when it fails, nothing is cached and the best mask stays.
         """
         masks = list(masks)
         misses = [mask for mask in dict.fromkeys(masks) if mask not in self._cache]
         if misses:
-            accuracies: list[float] = []
-            try:
-                evaluate_batch(misses, evaluator, accuracies)
-            finally:  # cache every accuracy taken, up to a failure
-                self._cache.update(zip(misses, accuracies))
-                if accuracies:
-                    best = max(accuracies)  # the first of equal maxima
-                    if best > self.best_accuracy:
-                        self.best_accuracy = best
-                        self.best_mask = misses[accuracies.index(best)]
-            if len(accuracies) == len(masks):  # every mask a distinct miss, in order
-                return accuracies
+            accuracies = evaluate_batch(misses, evaluator)
+            self._cache.update(zip(misses, accuracies))
+            self.best_mask, self.best_accuracy = first_best(
+                misses, accuracies, self.best_mask, self.best_accuracy
+            )
         return [self._cache[mask] for mask in masks]
 
 
-def evaluate_batch(
-    masks: list[str], evaluator: Evaluator, accuracies: list[float] | None = None
-) -> list[float]:
+def first_best(masks: list[str], accuracies: list[float], mask: str | None, accuracy: float):
+    """The first of the batch's equal maxima if it beats `accuracy`, else the old best."""
+    best = max(accuracies)
+    return (masks[accuracies.index(best)], best) if best > accuracy else (mask, accuracy)
+
+
+def evaluate_batch(masks: list[str], evaluator: Evaluator) -> list[float]:
     """Accuracies of `masks`, in order, each a float checked to lie in [0, 1].
 
     The batch is one ``evaluator.evaluate_many(masks)`` call when the
     evaluator has that method; a plain callable is called once per mask,
-    lazily, as the values are checked.  A FitnessError from
-    ``evaluate_many`` is raised as it is; anything else it raises, or a
-    result of another length than the batch, raises EvaluatorError.  A
-    value that is not a float in [0, 1], or a plain callable's failure,
-    raises FitnessError naming its mask.  The accuracies are appended to
-    `accuracies` (a new list if None) and it is returned; after a failure
-    it holds those of the masks before the failing one.
+    lazily, as the values are checked, so no mask after a failing one is
+    called.  A FitnessError from ``evaluate_many`` is raised as it is;
+    anything else it raises, or a result of another length than the
+    batch, raises EvaluatorError.  A value that is not a float in [0, 1],
+    or a plain callable's failure, raises FitnessError naming its mask.
+    The accuracies are returned only when every one of them passes.
     """
-    if accuracies is None:
-        accuracies = []
     if hasattr(evaluator, "evaluate_many"):
         try:
             values = list(evaluator.evaluate_many(masks))
@@ -101,6 +94,7 @@ def evaluate_batch(
             )
     else:
         values = _one_call_per_mask(masks, evaluator)
+    accuracies = []
     for mask, value in zip(masks, values):
         try:
             value = float(value)

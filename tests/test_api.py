@@ -1,7 +1,9 @@
 """The documented API: the README's library quick start runs as written,
-every name the package exports resolves, and every config and record
-field has a type the one annotation rule knows."""
+every name the package exports resolves, every config and record field
+has a type the one annotation rule knows, and numpy is the only runtime
+dependency."""
 
+import ast
 import re
 import sys
 from dataclasses import fields
@@ -13,7 +15,8 @@ from qfselect.classifier import EvaluatorSpec
 from qfselect.evolution import EvolutionConfig, MutationConfig
 from qfselect.records import DistributionRow, GenerationEntry, OracleRecord, RunRecord, RunTotals
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_python_quick_start_runs(capsys):
@@ -62,3 +65,19 @@ def test_every_config_and_record_field_has_a_type_rule():
         if not _record_annotation_has_a_rule(f.type)
     ]
     assert unknown == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    allowed = sys.stdlib_module_names | {"numpy", "qfselect"}
+    outside = []
+    for path in sorted((ROOT / "src" / "qfselect").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one: qfselect's own
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert outside == []

@@ -3,6 +3,7 @@
 import fcntl
 import gc
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -537,21 +538,71 @@ class TestExternalEvaluator:
             assert time.monotonic() - started < 5
 
     def test_replies_split_across_reads_and_crlf(self):
-        # Two replies in one write, the second with a CRLF ending, then a
-        # reply sent a byte at a time: each call returns exactly one line.
+        # Two replies in one write answer a two-mask batch, the second with
+        # a CRLF ending; then a reply sent a byte at a time answers one mask.
         script = (
             "import sys, time\n"
             "out = sys.stdout.buffer\n"
             "sys.stdin.readline(); out.write(b'READY\\n'); out.flush()\n"
-            "sys.stdin.readline(); out.write(b'OK 0.25\\nOK 0.5\\r\\n'); out.flush()\n"
-            "sys.stdin.readline()\n"
+            "sys.stdin.readline(); sys.stdin.readline()\n"
+            "out.write(b'OK 0.25\\nOK 0.5\\r\\n'); out.flush()\n"
             "sys.stdin.readline()\n"
             "for b in b'OK 0.75\\n':\n"
             "    out.write(bytes([b])); out.flush(); time.sleep(0.01)\n"
             "sys.stdin.readline()\n"
         )
         with ExternalEvaluator([sys.executable, "-c", script], n=3, timeout=5) as proc:
-            assert [proc("101"), proc("011"), proc("111")] == [0.25, 0.5, 0.75]
+            assert proc.evaluate_many(["101", "011"]) == [0.25, 0.5]
+            assert proc("111") == 0.75
+
+    # The first request is answered by two lines, in one write or in two.
+    LATE_REPLY = (
+        "import sys, time\n"
+        "out = sys.stdout.buffer\n"
+        "sys.stdin.readline(); out.write(b'READY\\n'); out.flush()\n"
+        "sys.stdin.readline(); out.write(b'OK 0.5\\n'); out.flush()\n"
+        "time.sleep(0.05); out.write(b'OK 0.9\\n'); out.flush()\n"
+        "sys.stdin.readline(); out.write(b'OK 0.1\\n'); out.flush()\n"
+        "sys.stdin.readline()\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(replay_argv(b"OK 0.5\nOK 0.9", b"OK 0.1"), id="one-write"),
+            pytest.param([sys.executable, "-c", LATE_REPLY], id="later-write"),
+        ],
+    )
+    def test_a_reply_that_was_not_asked_for_kills_the_server(self, argv):
+        # Kept for the next request, the unasked "OK 0.9" would answer it,
+        # and every later accuracy would be another mask's.
+        with ExternalEvaluator(argv, n=3, timeout=5) as proc:
+            got = []
+            with pytest.raises(EvaluatorError, match="not asked for"):
+                for _ in range(3):
+                    got.append(proc("101"))
+                    select.select([proc._proc.stdout], [], [], 5)  # the second line is here
+            assert got in ([], [0.5])
+            assert proc._proc.wait(timeout=5) == -signal.SIGKILL
+
+    def test_a_handshake_with_an_unasked_reply_kills_the_server(self):
+        script = (
+            "import sys\n"
+            "sys.stdin.readline()\n"
+            "sys.stdout.buffer.write(b'READY\\nOK 0.3\\n'); sys.stdout.flush()\n"
+            "sys.stdin.readline()\n"
+        )
+        opened = []
+        real_popen = classifier.subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            opened.append(real_popen(*args, **kwargs))
+            return opened[-1]
+
+        with mock.patch.object(classifier.subprocess, "Popen", recording_popen):
+            with pytest.raises(EvaluatorError, match="not asked for"):
+                ExternalEvaluator([sys.executable, "-c", script], n=3, timeout=5)
+        assert opened[0].returncode == -signal.SIGKILL
 
     @settings(max_examples=25, deadline=None)
     @given(

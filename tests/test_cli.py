@@ -347,20 +347,27 @@ class TestOracle:
         assert main(argv) == 0
         assert len(read_oracle_record(out).entries) == 2
 
-    @pytest.fixture()
-    def planted_argv(self, tmp_path):
+    @staticmethod
+    def _planted_argv(tmp_path, n):
         data = tmp_path / "planted.csv"
-        write_planted_csv(data, n=3, rows=40, informative=(0,), seed=2)
+        write_planted_csv(data, n=n, rows=40, informative=(0,), seed=2)
         return ["oracle", "--data", str(data), "--label", "label",
                 "--out", str(tmp_path / "oracle.json")]
 
-    def test_plain_callable_ties_go_to_the_first_mask(self, planted_argv, monkeypatch):
+    @pytest.fixture()
+    def planted_argv(self, tmp_path):
+        return self._planted_argv(tmp_path, 3)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_plain_callable_ties_go_to_the_first_mask(self, n, tmp_path, monkeypatch):
+        # At n = 8 the tie spans two 128-mask chunks.
+        argv = self._planted_argv(tmp_path, n)
         monkeypatch.setattr(cli, "make_evaluator", lambda spec, data: ConstantEvaluator(0.5))
-        assert main(planted_argv) == 0
-        record = read_oracle_record(planted_argv[-1])
-        assert record.best_mask == cli.index_to_mask(0, 3)
+        assert main(argv) == 0
+        record = read_oracle_record(argv[-1])
+        assert record.best_mask == cli.index_to_mask(0, n)
         assert record.best_accuracy == 0.5
-        assert len(record.entries) == 8
+        assert len(record.entries) == 2**n
 
     def test_out_of_range_accuracy_names_the_mask(self, planted_argv, monkeypatch, capsys):
         monkeypatch.setattr(cli, "make_evaluator", lambda spec, data: ConstantEvaluator(1.5))

@@ -229,8 +229,15 @@ class TestStratifiedSplit:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
     def test_bad_seed_rejected(self, seed):
-        with pytest.raises(DatasetError, match="seed"):
+        with pytest.raises(DatasetError, match="^seed must be a non-negative integer, got "):
             stratified_split(toy_dataset([5, 5]), 0.2, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        data = toy_dataset([5, 5])
+        got = stratified_split(data, 0.2, seed=np.int64(3))
+        want = stratified_split(data, 0.2, seed=3)
+        np.testing.assert_array_equal(got.test_features, want.test_features)
+        np.testing.assert_array_equal(got.train_labels, want.train_labels)
 
     def test_empty_side_rejected(self):
         with pytest.raises(DatasetError, match="train set"):

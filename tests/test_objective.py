@@ -122,16 +122,23 @@ class TestLedger:
         assert list(ledger.cache) == ["00", "11", "10", "01"]
         assert ledger.best_mask == "10"
 
+        calls = []
+
         def fails_on_01(mask):
+            calls.append(mask)
             if mask == "01":
                 raise RuntimeError("bad column")
             return 0.25
 
+        # A failed batch caches nothing, and no mask after the failing one
+        # is called.
         ledger = EvaluationLedger()
         with pytest.raises(FitnessError) as exc:
             ledger.score(["10", "01", "11"], fails_on_01)
         assert exc.value.mask == "01"
-        assert ledger.cache == {"10": 0.25}
+        assert calls == ["10", "01"]
+        assert ledger.cache == {}
+        assert (ledger.best_mask, ledger.best_accuracy) == (None, float("-inf"))
 
     def test_batch_evaluator_gets_all_misses_in_one_call(self):
         class Batched(CountingEvaluator):
@@ -175,6 +182,8 @@ class TestLedger:
         + [pytest.param(bad, "plain", id=f"{bad}-plain") for bad in BAD_VALUES],
     )
     def test_a_bad_value_in_a_batch_caches_the_masks_before_it(self, bad, form):
+        # A batch is all or nothing: the masks before the bad value are
+        # not cached either, and the best mask stays as it was.
         values = {"00": 0.25, "01": 0.75, "10": bad, "11": 0.5}
 
         class Returns(CountingEvaluator):
@@ -185,16 +194,21 @@ class TestLedger:
             return Returns({}) if form == "evaluate_many" else CountingEvaluator(values)
 
         ledger = EvaluationLedger()
+        ledger.score(["000"], lambda m: 0.5)
+        ev = make()
         with pytest.raises(FitnessError) as exc:
-            ledger.score(["00", "01", "10", "11"], make())
+            ledger.score(["00", "01", "10", "11"], ev)
         assert exc.value.mask == "10"
-        assert ledger.cache == {"00": 0.25, "01": 0.75}
-        assert (ledger.best_mask, ledger.best_accuracy) == ("01", 0.75)
+        assert ledger.cache == {"000": 0.5}
+        assert (ledger.best_mask, ledger.best_accuracy) == ("000", 0.5)
+        if form == "plain":  # no mask after the bad value is called
+            assert ev.calls == ["00", "01", "10"]
         # The same check without a ledger, as the oracle sweep makes it.
-        accuracies = []
+        ev = make()
         with pytest.raises(FitnessError, match="^mask 10: "):
-            evaluate_batch(["00", "01", "10", "11"], make(), accuracies)
-        assert accuracies == [0.25, 0.75]
+            evaluate_batch(["00", "01", "10", "11"], ev)
+        if form == "plain":
+            assert ev.calls == ["00", "01", "10"]
 
     def test_a_tie_within_a_batch_goes_to_the_first_seen_mask(self):
         class Batched(CountingEvaluator):

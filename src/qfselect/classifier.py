@@ -202,9 +202,12 @@ def _train_ovr(
 
 
 def _standardized(rows: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    # Zero-variance columns are centered but not scaled.
+    # Zero-variance columns are centered but not scaled.  Each column is
+    # first divided by the power of two at or just below its scale, which
+    # is exact, so `rows - mean` cannot overflow where the result fits.
     scale = np.where(std > 0, std, 1.0)
-    return (rows - mean) / scale
+    exponent = np.frexp(scale)[1] - 1
+    return (np.ldexp(rows, -exponent) - np.ldexp(mean, -exponent)) / np.ldexp(scale, -exponent)
 
 
 def _centroid_table(
@@ -230,7 +233,17 @@ def _majority_accuracy(data: SplitDataset) -> float:
 
 
 def _accuracy(line: bytes) -> float:
-    """The accuracy in an "OK <accuracy>" reply line; anything else raises."""
+    """The accuracy in an "OK <accuracy>" reply line; anything else raises.
+
+    float() on bytes reads only ASCII, so what it takes from an "OK " line
+    is what the text rule below would take; any other line goes to that rule.
+    """
+    if line[:3] == b"OK ":
+        try:
+            if 0.0 <= (value := float(line[3:])) <= 1.0:
+                return value
+        except ValueError:
+            pass
     reply = _decoded(line)
     if reply.startswith("ERR"):
         raise EvaluatorError(f"evaluator error: {reply[3:].strip()}")
@@ -243,23 +256,6 @@ def _accuracy(line: bytes) -> float:
     if not 0.0 <= value <= 1.0:
         raise EvaluatorError(f"evaluator accuracy {value} outside [0, 1]")
     return value
-
-
-def _accuracies(lines: list[bytes]) -> list[float] | None:
-    """The accuracies in `lines` if every one is "OK <x>" with x in [0, 1], else None.
-
-    One pass over the batch.  float() on bytes reads only ASCII, so a line
-    it takes decodes and parses as _accuracy would parse it; any other line
-    sends the batch back to _accuracy, one line at a time.
-    """
-    values = [line[3:] for line in lines if line[:3] == b"OK "]
-    if len(values) < len(lines):
-        return None
-    try:
-        values = [value for value in map(float, values) if 0.0 <= value <= 1.0]
-    except ValueError:
-        return None
-    return values if len(values) == len(lines) else None
 
 
 def _decoded(line: bytes) -> str:
@@ -408,9 +404,6 @@ class ExternalEvaluator:
             return []
         request = ("EVAL " + "\nEVAL ".join(masks) + "\n").encode("ascii")
         lines, lost = self._exchange(request, len(masks))
-        values = _accuracies(lines) if lost is None else None
-        if values is not None:
-            return values
         values = []
         try:
             for line in lines:

@@ -216,8 +216,14 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitDat
     train_idx = np.sort(np.concatenate(train_parts))
 
     train_features = data.features[train_idx]
-    mean = train_features.mean(axis=0)
-    std = train_features.std(axis=0)
+    # Each column's statistics are taken on the column times 2^-e, with 2^e
+    # just above its largest magnitude, and scaled back: no square overflows,
+    # and scaling by a power of two is exact, so a column whose squares fit
+    # keeps the bits it would have had.
+    exponent = np.frexp(np.abs(train_features).max(axis=0))[1]
+    scaled = np.ldexp(train_features, -exponent)
+    mean = np.ldexp(scaled.mean(axis=0), exponent)
+    std = np.ldexp(scaled.std(axis=0), exponent)
     return SplitDataset(
         train_features=train_features,
         train_labels=data.labels[train_idx],

@@ -207,10 +207,45 @@ def _writing(path: str | Path):
         raise RecordError(f"cannot write {path}: {err.strerror}") from None
 
 
+class _RecordFile:
+    """A text file that replaces `path` on `commit`, and only then.
+
+    The text goes to a new temporary file beside `path` (the file a symlink
+    names), which `commit` renames over it; closed before that, the file is
+    removed.  A `path` that is there but is no regular file (/dev/null, a
+    pipe) is written in place: a rename would replace the node itself.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        target = self._target = Path(os.path.realpath(path))
+        self._temp = None
+        if target.is_file() or not target.exists():  # created new, with the umask's mode
+            self._temp = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+        self._file = open(self._temp or target, "x" if self._temp else "w", encoding="utf-8",
+                          newline="")
+        self.write = self._file.write
+
+    def commit(self) -> None:
+        self._file.close()
+        if self._temp is not None:
+            os.replace(self._temp, self._target)
+            self._temp = None
+
+    def close(self) -> None:
+        """Close the file, and remove it unless `commit` renamed it."""
+        try:
+            self._file.close()
+        finally:
+            if self._temp is not None:
+                self._temp.unlink(missing_ok=True)
+                self._temp = None
+
+
 def write_json(value, path: str | Path) -> None:
-    """Write `value` canonically as UTF-8; nothing is written if it cannot be."""
-    with _writing(path):
-        Path(path).write_bytes(dumps_canonical(value).encode("utf-8"))
+    """Write `value` canonically as UTF-8; a failed write leaves `path` as it was."""
+    with _writing(path), contextlib.closing(_RecordFile(path)) as file:
+        file.write(dumps_canonical(value))
+        file.commit()
 
 
 def _load_json(path: str | Path):
@@ -333,43 +368,26 @@ class OracleRecordWriter:
     the head (`format_version`, `config`) is written on opening, each
     `add` writes the next entries, and `finish` writes `best_mask` and
     `best_accuracy`.  Every value goes through the one canonical writer,
-    and the record is never held whole.  The bytes go to a temporary file
-    in `path`'s directory, and `finish` renames it over `path`; a writer
-    closed before that, as a `with` block that raises closes it, removes
-    the file, so a failed write leaves `path` as it was.  A failure to
-    write raises RecordError, "cannot write {path}...".  A `path` that
-    exists but is no regular file, such as /dev/null, is written in place.
+    and the record is never held whole.  `finish` commits the file as
+    `write_json` does; a writer closed before that, as a `with` block that
+    raises closes it, leaves `path` as it was.  A failure to write raises
+    RecordError, "cannot write {path}...".
     """
 
-    def __init__(
-        self, path: str | Path, config: dict, format_version: int = FORMAT_VERSION
-    ) -> None:
+    def __init__(self, path: str | Path, config: dict) -> None:
         self._path = path
-        # The rename replaces the file a symlink names, not the link.  A
-        # path that is there but is no regular file (/dev/null, a pipe) is
-        # written in place: a rename would replace the node itself.
-        self._target = Path(os.path.realpath(path))
-        self._temp: Path | None = None
-        if self._target.is_file() or not self._target.exists():
-            self._temp = self._target.with_name(
-                f".{self._target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
-            )
-        with _writing(self._path):
-            if self._temp is None:
-                self._file = open(self._target, "w", encoding="utf-8", newline="")
-            else:  # created new (O_EXCL), with the mode the umask gives any record
-                self._file = open(self._temp, "x", encoding="utf-8", newline="")
         self._opened = False  # whether the entries array has its "["
-        try:
-            with _writing(self._path):
+        with _writing(path):
+            self._file = _RecordFile(path)
+            try:
                 out: list[str] = []
-                _emit_fields({"format_version": format_version, "config": config}, out)
+                _emit_fields({"format_version": FORMAT_VERSION, "config": config}, out)
                 out[0] = "{" + _line_breaks(0)[0]
                 out += (_line_breaks(0)[1], _key("entries"))
                 self._file.write("".join(out))
-        except BaseException:
-            self.close()
-            raise
+            except BaseException:
+                self.close()
+                raise
 
     def add(self, entries) -> None:
         """Write `entries` as the next items of the `entries` array."""
@@ -385,23 +403,16 @@ class OracleRecordWriter:
             self._file.write("".join(out))
 
     def finish(self, best_mask: str, best_accuracy: float) -> None:
-        """Write the last two fields, then rename the file over `path`."""
+        """Write the last two fields, then commit the file to `path`."""
         with _writing(self._path):
             out = [_line_breaks(1)[2], "]"] if self._opened else ["[]"]
             _emit_fields({"best_mask": best_mask, "best_accuracy": best_accuracy}, out)
             out += (_line_breaks(0)[2], "}\n")
             self._file.write("".join(out))
-            self._file.close()
-            if self._temp is not None:
-                os.replace(self._temp, self._target)
-        self._temp = None
+            self._file.commit()
 
     def close(self) -> None:
-        """Close the file, and remove it unless `finish` renamed it."""
         self._file.close()
-        if self._temp is not None:
-            self._temp.unlink(missing_ok=True)
-            self._temp = None
 
     def __enter__(self) -> "OracleRecordWriter":
         return self
@@ -411,10 +422,7 @@ class OracleRecordWriter:
 
 
 def write_oracle_record(record: OracleRecord, path: str | Path) -> None:
-    """Write `record` canonically; nothing is written if it cannot be."""
-    with OracleRecordWriter(path, record.config, record.format_version) as writer:
-        writer.add(record.entries)
-        writer.finish(record.best_mask, record.best_accuracy)
+    write_json(record, path)
 
 
 def read_oracle_record(path: str | Path) -> OracleRecord:

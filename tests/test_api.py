@@ -1,7 +1,7 @@
 """The documented API: the README's library quick start runs as written,
 every name the package exports resolves, every config and record field
-has a type the one annotation rule knows, and numpy is the only runtime
-dependency."""
+has a type the one annotation rule knows, numpy is the only runtime
+dependency, and records.py is the only module that writes a file."""
 
 import ast
 import re
@@ -81,3 +81,41 @@ def test_numpy_is_the_only_runtime_dependency():
             outside += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in allowed]
     assert outside == []
+
+
+def disk_writes(path):
+    """The calls in module `path` that may write or rename a file, by line."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "open":
+            # open(file, mode) or path.open(mode); a mode that is not a
+            # literal may be a writing one.
+            position = 1 if isinstance(func, ast.Name) else 0
+            modes = [k.value for k in node.keywords if k.arg == "mode"]
+            modes += node.args[position:position + 1]
+            writes = any(
+                not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+                or set(mode.value) & set("wxa")
+                for mode in modes
+            )
+        else:
+            writes = name in ("write_text", "write_bytes") or (
+                name in ("replace", "rename")
+                and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "os"
+            )
+        if writes:
+            found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def test_records_is_the_one_way_to_disk():
+    # Every record reaches disk through records.py's one temp-and-rename path.
+    modules = sorted((ROOT / "src" / "qfselect").glob("*.py"))
+    assert disk_writes(ROOT / "src" / "qfselect" / "records.py") != []
+    assert [w for path in modules if path.name != "records.py" for w in disk_writes(path)] == []

@@ -1,5 +1,6 @@
 """Evaluator tests: linear SVM, nearest centroid, external protocol."""
 
+import dataclasses
 import fcntl
 import gc
 import os
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfselect import classifier
 from qfselect.classifier import (
@@ -261,7 +262,8 @@ class TestEvaluate:
             make_evaluator(EvaluatorSpec(), split)("111")
 
 
-WINE_SPLIT = stratified_split(load_csv(wine_csv_path(), "class"), 0.2, seed=21)
+WINE = load_csv(wine_csv_path(), "class")
+WINE_SPLIT = stratified_split(WINE, 0.2, seed=21)
 
 
 def reference_accuracy(mask, data, kind):
@@ -417,7 +419,41 @@ class TestTrainOvr:
         assert np.array_equal(predictions, expected)
 
 
+def normal_scalings(column):
+    """The k for which wine's `column`, and its training std, times 2^k stay
+    finite and normal, as (lowest, highest)."""
+    values = np.abs(WINE.features[:, column])
+    smallest = min(values[values > 0].min(), WINE_SPLIT.train_std[column])
+    return -1021 - int(np.frexp(smallest)[1]), 1024 - int(np.frexp(values.max())[1])
+
+
+# Every single column, all of them, and a few of the columns together.
+SCALING_MASKS = [format(1 << i, "013b") for i in range(13)] + [
+    "1" * 13, "1010110010011", "0111001101100", "1100000000111",
+]
+
+
 class TestEvaluateMany:
+    @pytest.mark.parametrize("kind", ["linear-svm", "nearest-centroid"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        scaling=st.integers(0, 12).flatmap(
+            lambda column: st.tuples(st.just(column), st.integers(*normal_scalings(column)))
+        )
+    )
+    @example(scaling=(4, normal_scalings(4)[1]))
+    @example(scaling=(12, normal_scalings(12)[0]))
+    def test_scaling_a_column_by_a_power_of_two_leaves_every_accuracy(self, kind, scaling):
+        # Scaling by 2^k is exact, so standardizing must undo it bit for bit,
+        # up to the largest and the smallest normal magnitudes.
+        column, k = scaling
+        features = WINE.features.copy()
+        features[:, column] = np.ldexp(features[:, column], k)
+        split = stratified_split(dataclasses.replace(WINE, features=features), 0.2, seed=21)
+        expected = make_evaluator(EvaluatorSpec(kind=kind), WINE_SPLIT)
+        scaled = make_evaluator(EvaluatorSpec(kind=kind), split)
+        assert scaled.evaluate_many(SCALING_MASKS) == expected.evaluate_many(SCALING_MASKS)
+
     @settings(max_examples=30, deadline=None)
     @given(
         masks=st.lists(st.text(alphabet="01", min_size=13, max_size=13), max_size=8),
@@ -642,12 +678,30 @@ class TestExternalEvaluator:
             max_size=4,
         )
     )
+    @example(lines=[b"OK 1.5", b"OK -0.0", b"OK 0_1", b"OK 0.5\r", b"OK nan", b"OK \xd9\xa0"])
     def test_one_pass_parse_agrees_with_the_line_rule(self, lines):
-        # The batch parse may give up, but what it returns is what the
-        # one-line rule gives, sign of zero included.
-        values = classifier._accuracies(lines)
-        if values is not None:
-            assert [repr(v) for v in values] == [repr(classifier._accuracy(l)) for l in lines]
+        # The parser reads an ASCII "OK x" line from its bytes; whatever the
+        # line, it gives what the rule on decoded text gives, sign of zero
+        # included, or both refuse the line.
+        def text_rule(line):
+            reply = line.removesuffix(b"\r").decode("utf-8")
+            if not reply.startswith("OK "):
+                raise ValueError(f"not an OK reply: {reply!r}")
+            value = float(reply[3:].strip())
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{value} outside [0, 1]")
+            return value
+
+        for line in lines:
+            try:
+                expected = repr(text_rule(line))
+            except ValueError:  # UnicodeDecodeError included
+                expected = "refused"
+            try:
+                parsed = repr(classifier._accuracy(line))
+            except EvaluatorError:
+                parsed = "refused"
+            assert parsed == expected, line
 
     @pytest.mark.parametrize(
         "mode",

@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from qfselect.records import (
 
 from helpers import write_planted_csv
 
+ROOT = Path(__file__).resolve().parent.parent
 STUB_CMD = f"{sys.executable} tests/evaluator_stub.py"
 
 
@@ -317,6 +320,31 @@ class TestOracle:
                 "b094b2f3bb316c04622a0171abb0c757c33cd4bb9e093478ca11eaa02f7d1cdf"
             ), name
 
+    # The SVM sweep fits through BLAS gemm, so it also runs under other
+    # OpenBLAS kernels than the one the host picks: its record must not
+    # depend on which kernel a machine has.
+    @pytest.mark.parametrize("coretype", [None, "Haswell", "Nehalem"])
+    def test_svm_oracle_record_is_the_same_under_each_blas_kernel(self, tmp_path, coretype):
+        # The label and the first seven feature columns of wine, as written.
+        lines = wine_csv_path().read_text(encoding="utf-8").splitlines()
+        data = tmp_path / "wine7.csv"
+        data.write_text("".join(",".join(line.split(",")[:8]) + "\n" for line in lines),
+                        encoding="utf-8")
+        out = tmp_path / "oracle.json"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        result = subprocess.run(
+            [sys.executable, "-m", "qfselect.cli", "oracle", "--data", str(data),
+             "--label", "class", "--evaluator", "linear-svm", "--seed", "21", "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a5a52eaf96b0da1528f4ce0272aa2d5928bf58cc332116e7b43fc3ea6e6d7fea"
+        )
+
     def test_external_evaluator_scores_every_mask(self, tmp_path):
         # 2^8 masks: two ledger chunks of 128, each sent as one stream.
         data = tmp_path / "planted.csv"
@@ -346,6 +374,28 @@ class TestOracle:
         ]
         assert main(argv) == 0
         assert len(read_oracle_record(out).entries) == 2
+
+    @pytest.mark.parametrize("evaluator", ["linear-svm", "nearest-centroid"])
+    def test_a_column_at_the_float_limit_scores_as_its_scaled_copy(self, tmp_path, evaluator):
+        # Column a is +-1e308 by class, so it alone separates the classes;
+        # its standard deviation overflows unless it is taken at a scale
+        # where the squares fit.  Its copy scaled by 2^-1000 must score the
+        # same, and no RuntimeWarning (an error here) may be raised.
+        noise = [0.3, -1.2, 0.7, 2.1, -0.4, 1.5, -0.9, 0.2, 1.1, -1.7]
+        scores = []
+        for scale in (1.0, 2.0**-1000):
+            data = tmp_path / "extreme.csv"
+            data.write_text("a,noise,label\n" + "".join(
+                f"{(1e308 if i % 2 == 0 else -1e308) * scale!r},{x!r},c{i % 2}\n"
+                for i, x in enumerate(noise)
+            ), encoding="utf-8")
+            out = tmp_path / "oracle.json"
+            argv = ["oracle", "--data", str(data), "--label", "label", "--out", str(out),
+                    "--evaluator", evaluator]
+            assert main(argv) == 0
+            scores.append({e["mask"]: e["accuracy"] for e in read_oracle_record(out).entries})
+        assert scores[0] == scores[1]
+        assert scores[0]["10"] == 1.0
 
     @staticmethod
     def _planted_argv(tmp_path, n):

@@ -83,8 +83,9 @@ class TestLoadCsv:
         content=st.binary(max_size=64)
         | st.lists(
             st.sampled_from(
-                [b"a", b"0", b"1.5", b"-2e3", b"nan", b",", b"\n", b"\r", b'"',
-                 b" ", b"\x00", b"\xe9", b"\xef\xbb\xbf", b"\xc3\xa9", b"\xd9\xa1"]
+                [b"a", b"0", b"1.5", b"-2e3", b"1e308", b"-1e308", b"5e-324", b"nan", b",",
+                 b"\n", b"\r", b'"', b" ", b"\x00", b"\xe9", b"\xef\xbb\xbf", b"\xc3\xa9",
+                 b"\xd9\xa1"]
             ),
             max_size=40,
         ).map(b"".join)

@@ -5,7 +5,10 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
+import textwrap
 import threading
 from pathlib import Path
 
@@ -29,6 +32,7 @@ from qfselect.records import (
     dumps_canonical,
     read_oracle_record,
     read_run_record,
+    write_json,
     write_oracle_record,
     write_run_record,
 )
@@ -377,6 +381,16 @@ oracle_entries = st.lists(
 )
 
 
+def stream_oracle_record(record, path):
+    with OracleRecordWriter(path, record.config) as writer:
+        writer.add(record.entries)
+        writer.finish(record.best_mask, record.best_accuracy)
+
+
+# The whole-record writer and the streamed one, which reach disk by one path.
+BOTH_WRITERS = (write_json, stream_oracle_record)
+
+
 class TestOracleRecordWriter:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -426,6 +440,39 @@ class TestOracleRecordWriter:
                 writer.finish("0", 0.5)
         assert [p.name for p in tmp_path.iterdir()] == ["oracle.json"]
         assert path.read_bytes() == b"an earlier record\n"
+        with pytest.raises(RecordError, match=message):
+            write_json({"entries": [{"mask": "0", "accuracy": 0.5}, entry]}, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["oracle.json"]
+        assert path.read_bytes() == b"an earlier record\n"
+
+    @pytest.mark.parametrize("write", BOTH_WRITERS, ids=lambda write: write.__name__)
+    def test_a_write_past_the_file_size_limit_leaves_the_earlier_file(self, tmp_path, write):
+        # A child process whose files may not pass 4096 bytes: the write fails
+        # part way with EFBIG, and the earlier record must survive it whole.
+        path = tmp_path / "record.json"
+        path.write_bytes(b"an earlier\n")
+        script = textwrap.dedent(f"""
+            import resource, signal
+            from test_records import BOTH_WRITERS
+            from qfselect.records import OracleRecord
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.RLIM_INFINITY))
+            write = {{w.__name__: w for w in BOTH_WRITERS}}[{write.__name__!r}]
+            entries = [{{"mask": "0", "accuracy": 0.5}}] * 5000
+            write(OracleRecord(config={{"n": 1}}, entries=entries, best_mask="0",
+                               best_accuracy=0.5), {str(path)!r})
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run(
+            [sys.executable, "-B", "-c", script], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stderr.strip().splitlines()[-1] == (
+            f"qfselect.errors.RecordError: cannot write {path}: File too large"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
+        assert path.read_bytes() == b"an earlier\n"
 
     def test_a_writer_closed_unfinished_leaves_nothing(self, tmp_path):
         with OracleRecordWriter(tmp_path / "oracle.json", {"n": 1}) as writer:
@@ -435,30 +482,34 @@ class TestOracleRecordWriter:
     def test_a_directory_is_refused_on_opening(self, tmp_path):
         with pytest.raises(RecordError, match=f"cannot write {tmp_path}: Is a directory"):
             OracleRecordWriter(tmp_path, {"n": 1})
+        with pytest.raises(RecordError, match=f"cannot write {tmp_path}: Is a directory"):
+            write_json(ONE_ENTRY, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_a_symlink_keeps_naming_the_record(self, tmp_path):
         target = tmp_path / "target.json"
-        target.write_bytes(b"an earlier record\n")
         link = tmp_path / "link.json"
         link.symlink_to(target)
-        write_oracle_record(ONE_ENTRY, link)
-        assert link.is_symlink()
-        assert target.read_text(encoding="utf-8") == dumps_canonical(ONE_ENTRY)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+        for write in BOTH_WRITERS:
+            target.write_bytes(b"an earlier record\n")
+            write(ONE_ENTRY, link)
+            assert link.is_symlink()
+            assert target.read_text(encoding="utf-8") == dumps_canonical(ONE_ENTRY)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
 
     def test_a_pipe_is_written_in_place(self, tmp_path):
         # As /dev/null or /dev/stdout would be: a rename would replace the node.
         pipe = tmp_path / "pipe"
         os.mkfifo(pipe)
-        read = []
-        reader = threading.Thread(target=lambda: read.append(pipe.read_bytes()), daemon=True)
-        reader.start()
-        write_oracle_record(ONE_ENTRY, pipe)
-        reader.join(timeout=10)
-        assert read == [dumps_canonical(ONE_ENTRY).encode("utf-8")]
-        assert stat.S_ISFIFO(pipe.stat().st_mode)
-        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+        for write in BOTH_WRITERS:
+            read = []
+            reader = threading.Thread(target=lambda: read.append(pipe.read_bytes()), daemon=True)
+            reader.start()
+            write(ONE_ENTRY, pipe)
+            reader.join(timeout=10)
+            assert read == [dumps_canonical(ONE_ENTRY).encode("utf-8")]
+            assert stat.S_ISFIFO(pipe.stat().st_mode)
+            assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 class TestRecordCodec:

@@ -166,8 +166,10 @@ def _train_ovr(
     # backward product, (y*x)*a with a in {0, 1}, is the plain form's
     # (y*a)*x, signed zeros included.  The bias enters the forward product
     # as the last term of each dot product, as the broadcast did; that holds
-    # because the BLAS gemm kernel keeps one accumulator per output, which
-    # the reference test checks.  The bias row of the backward product sums
+    # only where the BLAS gemm kernel keeps one accumulator per output, as
+    # OpenBLAS's SkylakeX and Sandybridge kernels do (the reference test
+    # checks it); under its Haswell, Zen, Nehalem and Prescott kernels the
+    # weights differ in the last bits.  The backward product's bias row sums
     # integers in {-1, 0, 1}, exact in any order, and the bias step is
     # 0*b - s/n where the plain form takes -s/n, which differ at most in the
     # sign of a zero.  Signed zeros cannot reach `params`: p - (+-0) = p,
@@ -205,9 +207,13 @@ def _standardized(rows: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.nda
     # Zero-variance columns are centered but not scaled.  Each column is
     # first divided by the power of two at or just below its scale, which
     # is exact, so `rows - mean` cannot overflow where the result fits.
+    # Every value is bounded at +-2**500, so no square or product of two
+    # overflows into a dropped column's 0 * inf, a NaN in its mask's score.
     scale = np.where(std > 0, std, 1.0)
     exponent = np.frexp(scale)[1] - 1
-    return (np.ldexp(rows, -exponent) - np.ldexp(mean, -exponent)) / np.ldexp(scale, -exponent)
+    with np.errstate(over="ignore"):
+        centered = np.ldexp(rows, -exponent) - np.ldexp(mean, -exponent)
+    return np.clip(centered / np.ldexp(scale, -exponent), -(2.0**500), 2.0**500)
 
 
 def _centroid_table(
@@ -305,7 +311,7 @@ class ExternalEvaluator:
             self._proc = subprocess.Popen(
                 argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
             )
-        except (OSError, ValueError) as err:  # ValueError: a NUL byte in an argument
+        except (OSError, ValueError, TypeError) as err:  # a NUL byte, or an item not a string
             raise EvaluatorError(f"cannot launch evaluator {argv!r}: {err}") from err
         try:
             # Set once: a write then takes what the pipe holds and never blocks.

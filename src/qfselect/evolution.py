@@ -1,10 +1,10 @@
 """Elitist (mu + lambda) evolution of feature-sampling circuits.
 
 Each generation clones the parents, applies exactly one mutation per
-clone, samples every clone's output distribution, scores it through the
-shared evaluation ledger, and keeps the best mu individuals.  Fitness is
-frozen at evaluation time and never resampled, which makes the best
-fitness literally monotone.
+clone, samples every clone's output distribution, scores the masks the
+shared evaluation ledger lacks as one batch, and keeps the best mu
+individuals.  Fitness is frozen at evaluation time and never resampled,
+which makes the best fitness literally monotone.
 """
 
 from __future__ import annotations
@@ -16,7 +16,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .objective import EvaluationLedger, Evaluator, empirical_auc, fitness, predicted_total_evaluations
+from .objective import (
+    EvaluationLedger, Evaluator, empirical_auc, evaluate_batch, fitness,
+    predicted_total_evaluations,
+)
 from .records import DistributionRow, GenerationEntry, RunRecord, RunTotals, check_types
 from .simulator import (
     Circuit,
@@ -168,8 +171,10 @@ def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
     generation derives one random substream per offspring from (seed,
     generation), used first for the mutation draws and then for the
     measurement shots, so results do not depend on evaluation order.  Every
-    generation samples all its circuits before any is scored, sends their
-    masks to the ledger as one batch, and is logged from what it sampled.
+    generation samples all its circuits before any is scored, scores the
+    masks the ledger lacks with one `evaluate_batch` call, made only when
+    some are lacking, fills the ledger with them, reads each child's
+    fitness from the ledger's cache, and is logged from what it sampled.
     """
     ledger = EvaluationLedger()
     entries: list[GenerationEntry] = []
@@ -196,10 +201,11 @@ def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
                 sampled.append((circuit, sample(simulate(circuit), config.shots, rng)))
         # One evaluator call for the whole generation's cache misses, in the
         # order a child-by-child pass would have met them.
-        cached = ledger.size
-        ledger.score((mask for _, dist in sampled for mask in dist.counts), evaluator)
+        misses = ledger.misses(mask for _, dist in sampled for mask in dist.counts)
+        if misses:
+            ledger.fill(misses, evaluate_batch(misses, evaluator))
         children = [
-            Individual(circuit, fitness(dist, evaluator, ledger), dist, generation)
+            Individual(circuit, fitness(dist, ledger.cache), dist, generation)
             for circuit, dist in sampled
         ]
         parents = select(parents, children, config.mu)
@@ -209,16 +215,15 @@ def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
                 best_fitness=parents[0].fitness,
                 parent_fitness=[p.fitness for p in parents],
                 support=sum(len(dist.counts) for _, dist in sampled),
-                new_evaluations=ledger.size - cached,
+                new_evaluations=len(misses),
                 best_mask=ledger.best_mask,
                 best_accuracy=ledger.best_accuracy,
                 parent_depth=depth(parents[0].circuit),
             )
         )
 
-    cache = ledger.cache
     final = [
-        DistributionRow(mask, prob, cache[mask])
+        DistributionRow(mask, prob, ledger.cache[mask])
         for mask, prob in sorted(
             quasi_probabilities(parents[0].distribution).items(),
             key=lambda item: (-item[1], item[0]),

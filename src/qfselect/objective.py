@@ -2,17 +2,19 @@
 
 The ledger is the one mutable object a run shares: a mask -> accuracy memo,
 so the classifier trains at most once per mask, that also tracks the best
-mask seen.  Its misses, like each chunk of the oracle sweep, are scored
-by `evaluate_batch` as one batch: one ``evaluate_many`` call, or one call
-per mask for a plain mask -> accuracy callable, then one check of the
-values.  The per-generation counts (support sizes and cache misses) are
-the evolution loop's to log; ``empirical_auc`` integrates the support curve
-it hands over.
+mask seen.  It calls no evaluator.  Its client, the evolution loop, scores
+a generation's misses, like each chunk of the oracle sweep, with
+`evaluate_batch` as one batch (one ``evaluate_many`` call, or one call per
+mask for a plain mask -> accuracy callable, then one check of the values)
+and fills the ledger afterwards; ``fitness`` only reads the memo.  The
+per-generation counts (support sizes and cache misses) are the evolution
+loop's to log; ``empirical_auc`` integrates the support curve it hands over.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,40 +27,31 @@ Evaluator = Callable[[str], float]
 class EvaluationLedger:
     """Mask-accuracy cache that also tracks the best mask.
 
-    A mask enters the cache the first time it scores and is never
+    The ledger calls no evaluator: its client scores `misses(masks)` and
+    hands the values to `fill`.  A mask enters the cache once and is never
     evaluated again, so ``size`` counts the evaluations made so far.
     """
 
     def __init__(self) -> None:
         self._cache: dict[str, float] = {}
+        self.cache = MappingProxyType(self._cache)
         self.best_mask: str | None = None
         self.best_accuracy: float = float("-inf")
-
-    @property
-    def cache(self) -> dict[str, float]:
-        return dict(self._cache)
 
     @property
     def size(self) -> int:
         return len(self._cache)
 
-    def score(self, masks: Iterable[str], evaluator: Evaluator) -> list[float]:
-        """Accuracies of `masks`, evaluating each uncached one once.
+    def misses(self, masks: Iterable[str]) -> list[str]:
+        """The uncached masks of `masks`, each once, in first-seen order."""
+        return [mask for mask in dict.fromkeys(masks) if mask not in self._cache]
 
-        The misses, in first-seen order, are scored as one batch by
-        `evaluate_batch` and enter the cache in that order, so a tie for
-        the best accuracy goes to the first-seen mask.  A batch is all or
-        nothing: when it fails, nothing is cached and the best mask stays.
-        """
-        masks = list(masks)
-        misses = [mask for mask in dict.fromkeys(masks) if mask not in self._cache]
-        if misses:
-            accuracies = evaluate_batch(misses, evaluator)
-            self._cache.update(zip(misses, accuracies))
-            self.best_mask, self.best_accuracy = first_best(
-                misses, accuracies, self.best_mask, self.best_accuracy
-            )
-        return [self._cache[mask] for mask in masks]
+    def fill(self, misses: list[str], accuracies: list[float]) -> None:
+        """Cache `accuracies` for the non-empty `misses`, in order; the first best wins a tie."""
+        self._cache.update(zip(misses, accuracies))
+        self.best_mask, self.best_accuracy = first_best(
+            misses, accuracies, self.best_mask, self.best_accuracy
+        )
 
 
 def first_best(masks: list[str], accuracies: list[float], mask: str | None, accuracy: float):
@@ -117,17 +110,11 @@ def _one_call_per_mask(masks: list[str], evaluator: Evaluator) -> Iterator[objec
             raise FitnessError(f"evaluator failed: {err}", mask=mask) from err
 
 
-def fitness(
-    dist: SampledDistribution, evaluator: Evaluator, ledger: EvaluationLedger
-) -> float:
-    """Shot-frequency-weighted accuracy of the masks in `dist`.
-
-    Uncached masks are scored into `ledger`; nothing else changes.
-    """
-    probs = quasi_probabilities(dist)
+def fitness(dist: SampledDistribution, accuracies: Mapping[str, float]) -> float:
+    """Shot-frequency-weighted accuracy of the masks in `dist`, read from `accuracies`."""
     total = 0.0
-    for p, accuracy in zip(probs.values(), ledger.score(probs, evaluator)):
-        total += p * accuracy
+    for mask, p in quasi_probabilities(dist).items():
+        total += p * accuracies[mask]
     return total
 
 

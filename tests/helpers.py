@@ -1,7 +1,7 @@
 """Shared test helpers: per-bit references for the mask codec and support
 positions, random circuits over the full gate basis, the dense gate oracle,
-the reference SVM kernel, the reference record writer, and planted-feature
-data."""
+the reference SVM kernel, the reference record writer, planted-feature
+data, and ledger scoring composed as the evolution loop composes it."""
 
 import json
 import math
@@ -10,6 +10,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 
 from qfselect.errors import OracleLimitError, RecordError
+from qfselect.objective import evaluate_batch
 from qfselect.simulator import Circuit, Gate, GateKind, SINGLE_QUBIT_KINDS
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -190,3 +191,12 @@ def write_planted_csv(path, n, rows, informative, seed):
         lines.append(str(int(y)) + "," + ",".join(repr(float(v)) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return tuple(informative)
+
+
+def ledger_score(ledger, masks, evaluator):
+    """Accuracies of `masks`, the ledger's misses scored and filled as `evolve` does."""
+    masks = list(masks)
+    misses = ledger.misses(masks)
+    if misses:
+        ledger.fill(misses, evaluate_batch(misses, evaluator))
+    return [ledger.cache[mask] for mask in masks]

@@ -1,7 +1,8 @@
 """The documented API: the README's library quick start runs as written,
 every name the package exports resolves, every config and record field
 has a type the one annotation rule knows, numpy is the only runtime
-dependency, and records.py is the only module that writes a file."""
+dependency, records.py is the only module that writes a file, and the
+evolution loop and the oracle sweep are the only callers of the evaluator."""
 
 import ast
 import re
@@ -119,3 +120,17 @@ def test_records_is_the_one_way_to_disk():
     modules = sorted((ROOT / "src" / "qfselect").glob("*.py"))
     assert disk_writes(ROOT / "src" / "qfselect" / "records.py") != []
     assert [w for path in modules if path.name != "records.py" for w in disk_writes(path)] == []
+
+
+def test_evolve_and_the_oracle_sweep_each_call_the_evaluator_at_one_site():
+    # The ledger is only a memo: each batch is scored by evaluate_batch,
+    # called once in evolution.py and once in cli.py, and nowhere else.
+    callers = []
+    for path in sorted((ROOT / "src" / "qfselect").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "evaluate_batch":
+                    callers.append(path.name)
+    assert callers == ["cli.py", "evolution.py"]

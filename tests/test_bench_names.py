@@ -79,6 +79,21 @@ def test_evolve_calls_simulate_with_one_positional_argument(monkeypatch):
     assert calls and set(map(repr, calls)) == {repr((1, {}))}
 
 
+def test_evolve_calls_fitness_once_per_sampled_circuit(monkeypatch):
+    # The traced `objective.fitness.calls` counts one call per circuit.
+    calls = []
+    original = evolution.fitness
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "fitness", spy)
+    config = EvolutionConfig(n=4, generations=3, seed=1)
+    evolve(config, lambda mask: mask.count("1") / 4)
+    assert len(calls) == 1 + config.generations * config.lambda_
+
+
 def test_sample_renders_each_distinct_outcome_once(monkeypatch):
     # The traced `masks.index_to_mask.calls` counts one call per outcome.
     rendered = []

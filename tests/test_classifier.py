@@ -28,7 +28,7 @@ from qfselect.dataset import SplitDataset, load_csv, stratified_split, wine_csv_
 from qfselect.errors import DegenerateTrainingError, EvaluatorError, FitnessError, MaskError
 from qfselect.objective import EvaluationLedger
 
-from helpers import NOT_BITSTRINGS, planted_rows, reference_train_ovr
+from helpers import NOT_BITSTRINGS, ledger_score, planted_rows, reference_train_ovr
 
 STUB = str(Path(__file__).parent / "evaluator_stub.py")
 EXT_SERVER = str(Path(__file__).parent.parent / "bench" / "ext_server.py")
@@ -752,6 +752,8 @@ class TestExternalEvaluator:
             ExternalEvaluator("/no/such/binary-xyz", n=3)
         with pytest.raises(EvaluatorError, match="launch"):
             ExternalEvaluator([sys.executable, "-c", "\0"], n=3)
+        with pytest.raises(EvaluatorError, match="launch"):
+            ExternalEvaluator([sys.executable, 1], n=3)
 
     @pytest.mark.parametrize("command", ["'x", "   ", []])
     def test_command_that_names_no_program(self, command):
@@ -884,7 +886,7 @@ class TestPipelinedEvaluation:
         ev = ExternalEvaluator(replay_argv(b"OK 0.5", b"OK 0.25", b"ERR bad col"), n=3, timeout=5)
         ledger = EvaluationLedger()
         with ev, pytest.raises(FitnessError, match="evaluator error: bad col") as exc:
-            ledger.score(["100", "010", "001"], ev)
+            ledger_score(ledger, ["100", "010", "001"], ev)
         assert exc.value.mask == "001"
         assert ledger.size == 0  # a failed batch caches none of its masks
 
@@ -899,7 +901,7 @@ class TestPipelinedEvaluation:
     def test_early_exit_in_a_window_names_its_mask(self, capfd):
         ev = ExternalEvaluator(replay_argv(b"OK 0.5"), n=3, timeout=5)
         with ev, pytest.raises(FitnessError, match="exited early") as exc:
-            EvaluationLedger().score(["100", "010", "001"], ev)
+            ledger_score(EvaluationLedger(), ["100", "010", "001"], ev)
         assert exc.value.mask == "010"
         capfd.readouterr()  # the stub's traceback for its missing reply
 
@@ -914,7 +916,7 @@ class TestPipelinedEvaluation:
     def test_timeout_in_a_window_names_the_first_mask(self):
         ev = ExternalEvaluator(stub_cmd("slow"), n=3, timeout=0.3)
         with ev, pytest.raises(FitnessError, match="no reply within") as exc:
-            EvaluationLedger().score(["100", "010", "001"], ev)
+            ledger_score(EvaluationLedger(), ["100", "010", "001"], ev)
         assert exc.value.mask == "100"
 
 

@@ -375,23 +375,43 @@ class TestOracle:
         assert main(argv) == 0
         assert len(read_oracle_record(out).entries) == 2
 
-    @pytest.mark.parametrize("evaluator", ["linear-svm", "nearest-centroid"])
-    def test_a_column_at_the_float_limit_scores_as_its_scaled_copy(self, tmp_path, evaluator):
-        # Column a is +-1e308 by class, so it alone separates the classes;
-        # its standard deviation overflows unless it is taken at a scale
-        # where the squares fit.  Its copy scaled by 2^-1000 must score the
-        # same, and no RuntimeWarning (an error here) may be raised.
-        noise = [0.3, -1.2, 0.7, 2.1, -0.4, 1.5, -0.9, 0.2, 1.1, -1.7]
+    # Rows (a, b, label) and the split options of tables in which column a
+    # alone separates the classes and a cell sits at the float limit.
+    FLOAT_LIMIT_TABLES = {
+        # Column a is +-1e308 by class: its standard deviation overflows
+        # unless it is taken at a scale where the squares fit.
+        "a-at-the-limit": (
+            [(1e308 if i % 2 == 0 else -1e308, x, f"c{i % 2}")
+             for i, x in enumerate([0.3, -1.2, 0.7, 2.1, -0.4, 1.5, -0.9, 0.2, 1.1, -1.7])],
+            [],
+        ),
+        # Column b is 0 in training and 1e308 in one test row: its square
+        # overflowed, and mask 10, which drops b, read it as 0 * inf.
+        "dropped-b-at-the-limit": (
+            [(-1.0, 0.0, "a")] * 4 + [(1.0, 0.0, "b")] * 3 + [(1.0, 1e308, "b")],
+            ["--test-fraction", "0.5", "--seed", "0"],
+        ),
+    }
+
+    @pytest.mark.parametrize("evaluator, table", [
+        pytest.param(kind, table, id=kind if table == "a-at-the-limit" else f"{kind}-{table}")
+        for table in FLOAT_LIMIT_TABLES for kind in ("linear-svm", "nearest-centroid")
+    ])
+    def test_a_column_at_the_float_limit_scores_as_its_scaled_copy(
+        self, tmp_path, evaluator, table
+    ):
+        # The copy with column a scaled by 2^-1000 must score the same,
+        # and no RuntimeWarning (an error here) may be raised.
+        rows, split = self.FLOAT_LIMIT_TABLES[table]
         scores = []
         for scale in (1.0, 2.0**-1000):
             data = tmp_path / "extreme.csv"
-            data.write_text("a,noise,label\n" + "".join(
-                f"{(1e308 if i % 2 == 0 else -1e308) * scale!r},{x!r},c{i % 2}\n"
-                for i, x in enumerate(noise)
+            data.write_text("a,b,label\n" + "".join(
+                f"{a * scale!r},{b!r},{label}\n" for a, b, label in rows
             ), encoding="utf-8")
             out = tmp_path / "oracle.json"
             argv = ["oracle", "--data", str(data), "--label", "label", "--out", str(out),
-                    "--evaluator", evaluator]
+                    "--evaluator", evaluator, *split]
             assert main(argv) == 0
             scores.append({e["mask"]: e["accuracy"] for e in read_oracle_record(out).entries})
         assert scores[0] == scores[1]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfselect.classifier import EvaluatorSpec, make_evaluator
 from qfselect.dataset import (
     Dataset,
     load_csv,
@@ -100,6 +101,40 @@ class TestLoadCsv:
                 return
         assert isinstance(data, Dataset)
         assert data.features.shape == (data.n_rows, len(data.feature_names))
+
+    # Well-formed CSVs whose cells sit at the float limits, so that each
+    # reaches a split and both local evaluators; any RuntimeWarning on the
+    # way is an error under the suite's warning filter.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        labels=st.lists(st.sampled_from("ab"), min_size=4, max_size=12).filter(
+            lambda labels: min(labels.count("a"), labels.count("b")) >= 2
+        ),
+        n_features=st.integers(1, 4),
+        cells=st.lists(
+            st.sampled_from(["0", "1", "1.5", "-2e3", "1e308", "-1e308", "5e-324", "-5e-324",
+                             "2.2e-308"]),
+            min_size=48,
+            max_size=48,
+        ),
+        test_fraction=st.sampled_from([0.25, 0.5]),
+        seed=st.integers(0, 3),
+    )
+    def test_any_well_formed_csv_splits_and_scores_every_mask(
+        self, labels, n_features, cells, test_fraction, seed
+    ):
+        header = ",".join(["y"] + [f"f{j}" for j in range(n_features)])
+        rows = [",".join([label] + cells[i * 4 : i * 4 + n_features])
+                for i, label in enumerate(labels)]
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "data.csv"
+            path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+            split = stratified_split(load_csv(path, "y"), test_fraction, seed)
+        assert np.isfinite(split.train_mean).all() and np.isfinite(split.train_std).all()
+        masks = [format(i, f"0{n_features}b") for i in range(2**n_features)]
+        for kind in ("linear-svm", "nearest-centroid"):
+            accuracies = make_evaluator(EvaluatorSpec(kind=kind), split).evaluate_many(masks)
+            assert all(0.0 <= accuracy <= 1.0 for accuracy in accuracies)
 
     def test_nan_cell_rejected(self, tmp_path):
         path = write(tmp_path, "label,f0\na,NaN\nb,1.0\n")

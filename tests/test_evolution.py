@@ -321,6 +321,39 @@ class TestEvolve:
         assert [k for k in new if k] == ev.batches
         assert sum(new) == record.totals.cache_size
 
+    def test_one_evaluator_call_per_generation_with_misses(self, monkeypatch):
+        sampled = []
+
+        def recording_sample(state, shots, rng):
+            sampled.append(sample(state, shots, rng))
+            return sampled[-1]
+
+        class BatchesOnly:
+            def __init__(self):
+                self.batches = []
+
+            def __call__(self, mask):
+                raise AssertionError("a batch evaluator is called through evaluate_many")
+
+            def evaluate_many(self, masks):
+                self.batches.append(list(masks))
+                return [ones_fraction(m) for m in masks]
+
+        monkeypatch.setattr(evolution, "sample", recording_sample)
+        config = EvolutionConfig(n=2, lambda_=3, generations=8, shots=8, seed=4)
+        ev = BatchesOnly()
+        record = evolve(config, ev)
+        lam = config.lambda_
+        seen, misses = set(), []
+        for g in range(config.generations + 1):
+            dists = sampled[:1] if g == 0 else sampled[1 + (g - 1) * lam : 1 + g * lam]
+            first_seen = dict.fromkeys(mask for d in dists for mask in d.counts)
+            misses.append([mask for mask in first_seen if mask not in seen])
+            seen.update(first_seen)
+        assert any(not m for m in misses)  # some generation has nothing to score
+        assert ev.batches == [m for m in misses if m]
+        assert [e.new_evaluations for e in record.generations] == [len(m) for m in misses]
+
     def test_totals(self):
         config = EvolutionConfig(n=4, generations=6, shots=32, seed=2)
         record = evolve(config, ones_fraction)

@@ -13,6 +13,8 @@ from qfselect.objective import (
 )
 from qfselect.simulator import SampledDistribution
 
+from helpers import ledger_score
+
 
 def dist(counts):
     return SampledDistribution(shots=sum(counts.values()), counts=dict(counts))
@@ -33,14 +35,10 @@ class CountingEvaluator:
 
 class TestFitness:
     def test_single_mask_passthrough(self):
-        ev = CountingEvaluator({"111": 0.888})
-        ledger = EvaluationLedger()
-        assert fitness(dist({"111": 64}), ev, ledger) == pytest.approx(0.888)
+        assert fitness(dist({"111": 64}), {"111": 0.888}) == pytest.approx(0.888)
 
     def test_weighted_mean(self):
-        ev = CountingEvaluator({"10": 0.8, "01": 0.6})
-        ledger = EvaluationLedger()
-        value = fitness(dist({"10": 32, "01": 32}), ev, ledger)
+        value = fitness(dist({"10": 32, "01": 32}), {"10": 0.8, "01": 0.6})
         assert value == pytest.approx(0.7, abs=1e-15)
 
     def test_linearity_exact(self):
@@ -55,45 +53,28 @@ class TestFitness:
             counts = {m: int(rng.integers(1, 40)) for m in masks}
             table = {m: float(rng.uniform(0, 1)) for m in masks}
             shots = sum(counts.values())
-            ledger = EvaluationLedger()
-            got = fitness(dist(counts), CountingEvaluator(table), ledger)
+            got = fitness(dist(counts), table)
             want = sum(counts[m] / shots * table[m] for m in masks)
             assert abs(got - want) <= 1e-12
             lo, hi = min(table.values()), max(table.values())
             assert lo - 1e-12 <= got <= hi + 1e-12
 
-    def test_cache_hit_purity(self):
-        ev = CountingEvaluator({"10": 0.5, "01": 0.25, "11": 0.75})
-        ledger = EvaluationLedger()
-        fitness(dist({"10": 3, "01": 1}), ev, ledger)
-        assert ledger.size == 2
-        fitness(dist({"10": 2, "11": 2}), ev, ledger)
-        assert ledger.size == 3
-        # Each mask hit the evaluator exactly once.
-        assert sorted(ev.calls) == ["01", "10", "11"]
-
-    def test_evaluator_failure_carries_mask(self):
-        def boom(mask):
-            raise RuntimeError("disk on fire")
-
-        ledger = EvaluationLedger()
-        with pytest.raises(FitnessError) as exc:
-            fitness(dist({"110": 4}), boom, ledger)
-        assert exc.value.mask == "110"
-        assert ledger.size == 0
-
-    def test_out_of_range_accuracy_rejected(self):
-        ledger = EvaluationLedger()
-        with pytest.raises(FitnessError, match="outside"):
-            fitness(dist({"1": 4}), lambda mask: 1.2, ledger)
-
 
 class TestLedger:
+    def test_cache_is_a_read_only_live_view(self):
+        ledger = EvaluationLedger()
+        view = ledger.cache
+        ledger.fill(["10", "01"], [0.5, 0.25])
+        assert dict(view) == {"10": 0.5, "01": 0.25}
+        with pytest.raises(TypeError):
+            view["11"] = 1.0
+        assert ledger.misses(["01", "11", "00", "11"]) == ["11", "00"]
+
     def test_best_tracking_prefers_first_on_tie(self):
         ledger = EvaluationLedger()
-        ledger.score(("10",), lambda m: 0.5)
-        ledger.score(("01",), lambda m: 0.9)
-        ledger.score(("11",), lambda m: 0.9)
+        ledger_score(ledger, ("10",), lambda m: 0.5)
+        ledger_score(ledger, ("01",), lambda m: 0.9)
+        ledger_score(ledger, ("11",), lambda m: 0.9)
         assert ledger.best_mask == "01"
         assert ledger.best_accuracy == 0.9
 
@@ -108,15 +89,15 @@ class TestLedger:
             return 0.5
 
         with pytest.raises(FitnessError):
-            ledger.score(("10",), flaky)
-        assert ledger.score(("10",), flaky)[0] == 0.5
+            ledger_score(ledger, ("10",), flaky)
+        assert ledger_score(ledger, ("10",), flaky)[0] == 0.5
         assert len(attempts) == 2
 
     def test_batch_scoring_evaluates_each_miss_once_in_first_seen_order(self):
         ledger = EvaluationLedger()
-        ledger.score(("00",), lambda m: 0.1)
+        ledger_score(ledger, ("00",), lambda m: 0.1)
         ev = CountingEvaluator({"11": 0.5, "10": 0.75, "01": 0.75})
-        got = ledger.score(["11", "00", "10", "11", "01", "10"], ev)
+        got = ledger_score(ledger, ["11", "00", "10", "11", "01", "10"], ev)
         assert got == [0.5, 0.1, 0.75, 0.5, 0.75, 0.75]
         assert ev.calls == ["11", "10", "01"]
         assert list(ledger.cache) == ["00", "11", "10", "01"]
@@ -134,7 +115,7 @@ class TestLedger:
         # is called.
         ledger = EvaluationLedger()
         with pytest.raises(FitnessError) as exc:
-            ledger.score(["10", "01", "11"], fails_on_01)
+            ledger_score(ledger, ["10", "01", "11"], fails_on_01)
         assert exc.value.mask == "01"
         assert calls == ["10", "01"]
         assert ledger.cache == {}
@@ -147,12 +128,13 @@ class TestLedger:
                 return [self.table[m] for m in masks]
 
         ledger = EvaluationLedger()
-        ledger.score(("00",), lambda m: 0.1)
+        ledger_score(ledger, ("00",), lambda m: 0.1)
         ev = Batched({"11": 0.5, "10": 0.75, "01": 0.75})
-        assert ledger.score(["11", "00", "10", "11", "01"], ev) == [0.5, 0.1, 0.75, 0.5, 0.75]
+        got = ledger_score(ledger, ["11", "00", "10", "11", "01"], ev)
+        assert got == [0.5, 0.1, 0.75, 0.5, 0.75]
         assert ev.calls == [["11", "10", "01"]]
         assert ledger.best_mask == "10"
-        assert ledger.score(["01", "11"], ev) == [0.75, 0.5]
+        assert ledger_score(ledger, ["01", "11"], ev) == [0.75, 0.5]
         assert len(ev.calls) == 1
 
     def test_failed_batch_names_the_failing_mask(self):
@@ -165,14 +147,14 @@ class TestLedger:
         ledger = EvaluationLedger()
         ev = Batched({"10": 0.5})
         with pytest.raises(EvaluatorError, match="^evaluate_many failed on a batch of 2 mask") as exc:
-            ledger.score(["10", "01"], ev)
+            ledger_score(ledger, ["10", "01"], ev)
         assert not isinstance(exc.value, FitnessError)
         assert isinstance(exc.value.__cause__, KeyError)
         assert ledger.size == 0
         assert ev.calls == []
 
         with pytest.raises(FitnessError, match="outside") as exc:
-            ledger.score(["11", "00"], Batched({"11": 0.5, "00": 1.5}))
+            ledger_score(ledger, ["11", "00"], Batched({"11": 0.5, "00": 1.5}))
         assert exc.value.mask == "00"
         assert "00" not in ledger.cache
 
@@ -194,10 +176,10 @@ class TestLedger:
             return Returns({}) if form == "evaluate_many" else CountingEvaluator(values)
 
         ledger = EvaluationLedger()
-        ledger.score(["000"], lambda m: 0.5)
+        ledger_score(ledger, ["000"], lambda m: 0.5)
         ev = make()
         with pytest.raises(FitnessError) as exc:
-            ledger.score(["00", "01", "10", "11"], ev)
+            ledger_score(ledger, ["00", "01", "10", "11"], ev)
         assert exc.value.mask == "10"
         assert ledger.cache == {"000": 0.5}
         assert (ledger.best_mask, ledger.best_accuracy) == ("000", 0.5)
@@ -216,11 +198,11 @@ class TestLedger:
                 return [self.table[m] for m in masks]
 
         ledger = EvaluationLedger()
-        ledger.score(["000"], lambda m: 0.5)
+        ledger_score(ledger, ["000"], lambda m: 0.5)
         ev = Batched({"011": 0.9, "100": 0.25, "110": 0.9, "111": 0.9})
-        assert ledger.score(["100", "011", "110"], ev) == [0.25, 0.9, 0.9]
+        assert ledger_score(ledger, ["100", "011", "110"], ev) == [0.25, 0.9, 0.9]
         assert (ledger.best_mask, ledger.best_accuracy) == ("011", 0.9)
-        ledger.score(["111"], ev)
+        ledger_score(ledger, ["111"], ev)
         assert ledger.best_mask == "011"
 
     def test_fitness_error_from_a_batch_is_raised_as_it_is(self):
@@ -231,7 +213,7 @@ class TestLedger:
         ledger = EvaluationLedger()
         ev = NamesItsMask({"10": 0.5, "01": 0.25})
         with pytest.raises(FitnessError, match="^mask 01: evaluator failed: bad column$"):
-            ledger.score(["10", "01"], ev)
+            ledger_score(ledger, ["10", "01"], ev)
         assert ev.calls == []  # no retry one mask at a time
         assert ledger.size == 0
 
@@ -243,7 +225,7 @@ class TestLedger:
 
         ledger = EvaluationLedger()
         with pytest.raises(EvaluatorError, match=f"{len(returned)} result.* for 2 mask"):
-            ledger.score(["10", "01"], WrongLength({"10": 0.5, "01": 0.25}))
+            ledger_score(ledger, ["10", "01"], WrongLength({"10": 0.5, "01": 0.25}))
         assert ledger.size == 0
 
 

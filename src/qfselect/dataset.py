@@ -174,7 +174,8 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitDat
     Each class contributes floor(test_fraction * class_count) test rows from
     its seeded shuffle; remaining test slots (up to round(test_fraction *
     rows) total) go one apiece to the largest classes, ties to the lower
-    class index.  A split that would leave either side empty is refused.
+    class index.  A split that would leave the test set empty, or any class
+    without a row in the train set, is refused.
     """
     if not 0.0 < test_fraction < 1.0:
         raise DatasetError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -202,12 +203,16 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitDat
         order = sorted(range(data.n_classes), key=lambda c: (-counts[c], c))
         for c in order[:deficit]:
             take[c] += 1
-    n_test = int(take.sum())
-    if n_test in (0, data.n_rows):
-        empty = "test" if n_test == 0 else "train"
+    if take.sum() == 0:
         raise DatasetError(
-            f"test_fraction {test_fraction} leaves the {empty} set of "
-            f"{data.n_rows} rows empty"
+            f"test_fraction {test_fraction} leaves the test set of {data.n_rows} rows empty"
+        )
+    emptied = np.flatnonzero(take == counts)
+    if emptied.size:
+        name = data.label_names[emptied[0]]
+        raise DatasetError(
+            f"test_fraction {test_fraction} leaves class {name!r} "
+            "with no row in the train set"
         )
 
     test_parts = [shuffled[c][: take[c]] for c in range(data.n_classes)]

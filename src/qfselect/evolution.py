@@ -93,12 +93,11 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class Individual:
-    """A circuit with its frozen score and provenance."""
+    """A circuit with its frozen score and the distribution it was scored on."""
 
     circuit: Circuit
     fitness: float
     distribution: SampledDistribution
-    birth_generation: int
 
 
 def _mutation_kind(rng: np.random.Generator, mutation: MutationConfig) -> str:
@@ -151,16 +150,10 @@ def mutate(circuit: Circuit, rng: np.random.Generator, mutation: MutationConfig)
 def select(parents: list[Individual], offspring: list[Individual], mu: int) -> list[Individual]:
     """The mu fittest of parents + offspring, descending.
 
-    Ties prefer the earlier birth generation, then the earlier position in
-    the concatenated pool, so an equally fit parent always outranks its
-    offspring.
+    Ties keep their position in the concatenated pool (the sort is
+    stable), so an equally fit parent always outranks its offspring.
     """
-    pool = list(parents) + list(offspring)
-    ranked = sorted(
-        range(len(pool)),
-        key=lambda i: (-pool[i].fitness, pool[i].birth_generation, i),
-    )
-    return [pool[i] for i in ranked[:mu]]
+    return sorted(parents + offspring, key=lambda ind: -ind.fitness)[:mu]
 
 
 def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
@@ -205,7 +198,7 @@ def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
         if misses:
             ledger.fill(misses, evaluate_batch(misses, evaluator))
         children = [
-            Individual(circuit, fitness(dist, ledger.cache), dist, generation)
+            Individual(circuit, fitness(dist, ledger.cache), dist)
             for circuit, dist in sampled
         ]
         parents = select(parents, children, config.mu)

@@ -47,7 +47,9 @@ class EvaluationLedger:
         return [mask for mask in dict.fromkeys(masks) if mask not in self._cache]
 
     def fill(self, misses: list[str], accuracies: list[float]) -> None:
-        """Cache `accuracies` for the non-empty `misses`, in order; the first best wins a tie."""
+        """Cache `accuracies` for `misses`, in order; the first best wins a tie."""
+        if len(accuracies) != len(misses):
+            raise EvaluatorError(f"fill got {len(accuracies)} result(s) for {len(misses)} mask(s)")
         self._cache.update(zip(misses, accuracies))
         self.best_mask, self.best_accuracy = first_best(
             misses, accuracies, self.best_mask, self.best_accuracy
@@ -56,7 +58,7 @@ class EvaluationLedger:
 
 def first_best(masks: list[str], accuracies: list[float], mask: str | None, accuracy: float):
     """The first of the batch's equal maxima if it beats `accuracy`, else the old best."""
-    best = max(accuracies)
+    best = max(accuracies, default=accuracy)
     return (masks[accuracies.index(best)], best) if best > accuracy else (mask, accuracy)
 
 

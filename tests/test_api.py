@@ -1,8 +1,9 @@
 """The documented API: the README's library quick start runs as written,
 every name the package exports resolves, every config and record field
 has a type the one annotation rule knows, numpy is the only runtime
-dependency, records.py is the only module that writes a file, and the
-evolution loop and the oracle sweep are the only callers of the evaluator."""
+dependency, records.py is the only module that writes a file, the
+evolution loop and the oracle sweep are the only callers of the evaluator,
+and the CLI passes every config setting."""
 
 import ast
 import re
@@ -134,3 +135,20 @@ def test_evolve_and_the_oracle_sweep_each_call_the_evaluator_at_one_site():
                 if name == "evaluate_batch":
                     callers.append(path.name)
     assert callers == ["cli.py", "evolution.py"]
+
+
+def test_every_config_setting_has_a_cli_caller():
+    # A setting no command passes is a constant: every init field of the
+    # three configs is given by keyword where cli.py builds that config.
+    passed = {}
+    tree = ast.parse((ROOT / "src" / "qfselect" / "cli.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            passed.setdefault(node.func.id, set()).update(k.arg for k in node.keywords)
+    unset = [
+        f"{cls.__name__}.{f.name}"
+        for cls in (EvaluatorSpec, MutationConfig, EvolutionConfig)
+        for f in fields(cls)
+        if f.init and f.name not in passed.get(cls.__name__, set())
+    ]
+    assert unset == []

@@ -81,62 +81,39 @@ def brute_force_separable(features, labels):
 
 class TestEvaluatorSpec:
     def test_defaults(self):
-        spec = EvaluatorSpec()
-        assert spec.kind == "linear-svm"
-        assert spec.C == 1.0
-        assert spec.epochs == 200
+        # The model's fixed values reach every record's evaluator block,
+        # with these exact types.
+        got = dataclasses.asdict(EvaluatorSpec())
+        assert got == {"kind": "linear-svm", "C": 1.0, "epochs": 200,
+                       "external_cmd": None, "timeout": 60.0}
+        assert [type(value) for value in got.values()] == [str, float, int, type(None), float]
+        assert [f.name for f in dataclasses.fields(EvaluatorSpec) if f.init] == [
+            "kind", "external_cmd"
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
             EvaluatorSpec(kind="forest")
-        with pytest.raises(ValueError, match="C"):
-            EvaluatorSpec(C=0.0)
-        with pytest.raises(ValueError, match="epochs"):
-            EvaluatorSpec(epochs=0)
         for command in (None, "", "   ", "'x"):
             with pytest.raises(ValueError, match="command line"):
                 EvaluatorSpec(kind="external", external_cmd=command)
-        with pytest.raises(ValueError, match="timeout"):
-            EvaluatorSpec(timeout=0.0)
-        for value in (float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="C"):
-                EvaluatorSpec(C=value)
-            with pytest.raises(ValueError, match="timeout"):
-                EvaluatorSpec(timeout=value)
-        for value in (2.5, 200.0, True):
-            with pytest.raises(ValueError, match="epochs"):
-                EvaluatorSpec(epochs=value)
-        assert EvaluatorSpec(epochs=np.int64(3)).epochs == 3
 
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("C", True, "C must be a real number"),
-            ("C", np.True_, "C must be a real number"),
-            ("C", "1", "C must be a real number"),
-            ("C", None, "C must be a real number"),
-            ("C", 1j, "C must be a real number"),
-            ("timeout", False, "timeout must be a real number"),
-            ("timeout", "5", "timeout must be a real number"),
-            ("external_cmd", ["python3", "server.py"], "external_cmd must be a string"),
-            ("external_cmd", b"python3", "external_cmd must be a string"),
-            ("external_cmd", True, "external_cmd must be a string"),
             ("kind", True, "kind must be a string"),
             ("kind", None, "kind must be a string"),
-            ("epochs", True, "epochs must be an integer"),
-            ("epochs", "200", "epochs must be an integer"),
-            ("epochs", None, "epochs must be an integer"),
-            ("timeout", None, "timeout must be a real number"),
+            ("kind", 1, "kind must be a string"),
+            ("kind", b"linear-svm", "kind must be a string"),
+            ("external_cmd", b"python3", "external_cmd must be a string"),
+            ("external_cmd", True, "external_cmd must be a string"),
+            ("external_cmd", 1.5, "external_cmd must be a string"),
+            ("external_cmd", ["python3", "server.py"], "external_cmd must be a string"),
         ],
     )
     def test_refuses_a_field_of_the_wrong_type(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             EvaluatorSpec(**{field: value})
-
-    def test_keeps_an_integer_C_as_given(self):
-        # Records write the config as given: an int C stays an int.
-        assert EvaluatorSpec(C=1).C == 1 and type(EvaluatorSpec(C=1).C) is int
-        assert EvaluatorSpec(C=np.float64(0.5), timeout=5).timeout == 5
 
 
 def train_one(x, y, C=1.0, epochs=200):

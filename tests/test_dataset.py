@@ -281,6 +281,27 @@ class TestStratifiedSplit:
         with pytest.raises(DatasetError, match="test set"):
             stratified_split(toy_dataset([2, 2]), 0.01, seed=0)
 
+    @pytest.mark.parametrize("test_fraction", [0.7, 0.8, 0.9])
+    def test_a_class_left_without_train_rows_rejected(self, test_fraction):
+        # Four of five rows go to test: floors 1 and 2, and the top-up hands
+        # class 1 its last row, so training would see class 0 alone.
+        with pytest.raises(DatasetError, match="class '1' with no row in the train set"):
+            stratified_split(toy_dataset([2, 3]), test_fraction, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.lists(st.integers(2, 6), min_size=2, max_size=4),
+        test_fraction=st.floats(0.01, 0.99),
+    )
+    def test_every_class_keeps_a_train_row_or_the_split_is_refused(self, counts, test_fraction):
+        try:
+            split = stratified_split(toy_dataset(counts), test_fraction, seed=0)
+        except DatasetError as err:
+            assert "test set" in str(err) or "train set" in str(err)
+            return
+        assert split.test_labels.size > 0
+        assert np.bincount(split.train_labels, minlength=len(counts)).min() >= 1
+
     def test_wine_split_counts(self):
         data = load_csv(wine_csv_path(), "class")
         split = stratified_split(data, 0.2, seed=7)

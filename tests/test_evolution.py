@@ -182,33 +182,33 @@ class TestMutate:
             assert depth(mutate(parent, rng, MutationConfig())) <= depth(parent) + 1
 
 
-def make_individual(fitness, birth=0, n=2):
+def make_individual(fitness, n=2):
     circuit = Circuit(n, ())
     dist = None  # selection never looks at the distribution
-    return Individual(circuit=circuit, fitness=fitness, distribution=dist, birth_generation=birth)
+    return Individual(circuit=circuit, fitness=fitness, distribution=dist)
 
 
 class TestSelect:
     def test_takes_the_best(self):
-        parents = [make_individual(0.9, birth=0)]
-        offspring = [make_individual(0.8, birth=1), make_individual(0.95, birth=1)]
+        parents = [make_individual(0.9)]
+        offspring = [make_individual(0.8), make_individual(0.95)]
         chosen = select(parents, offspring, mu=1)
         assert [c.fitness for c in chosen] == [0.95]
 
     def test_tie_prefers_parent(self):
-        parent = make_individual(0.9, birth=0)
-        child = make_individual(0.9, birth=1)
-        assert select([parent], [child], mu=1) == [parent]
+        parent = make_individual(0.9)
+        child = make_individual(0.9)
+        assert select([parent], [child], mu=1)[0] is parent
 
     def test_tie_within_generation_prefers_insertion_order(self):
-        first = make_individual(0.7, birth=1)
-        second = make_individual(0.7, birth=1)
+        first = make_individual(0.7)
+        second = make_individual(0.7)
         chosen = select([], [first, second], mu=1)
         assert chosen[0] is first
 
     def test_best_of_seven(self):
-        parents = [make_individual(0.5, birth=0)]
-        offspring = [make_individual(f, birth=1) for f in (0.3, 0.8, 0.6, 0.9, 0.1, 0.7)]
+        parents = [make_individual(0.5)]
+        offspring = [make_individual(f) for f in (0.3, 0.8, 0.6, 0.9, 0.1, 0.7)]
         chosen = select(parents, offspring, mu=6)
         assert [c.fitness for c in chosen] == [0.9, 0.8, 0.7, 0.6, 0.5, 0.3]
 

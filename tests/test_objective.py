@@ -70,6 +70,24 @@ class TestLedger:
             view["11"] = 1.0
         assert ledger.misses(["01", "11", "00", "11"]) == ["11", "00"]
 
+    def test_empty_fill_changes_nothing(self):
+        ledger = EvaluationLedger()
+        ledger.fill(["10"], [0.5])
+        ledger.fill([], [])
+        assert dict(ledger.cache) == {"10": 0.5}
+        assert (ledger.best_mask, ledger.best_accuracy) == ("10", 0.5)
+
+    @pytest.mark.parametrize(
+        "misses, accuracies", [(["10", "01"], [0.5]), (["10"], [0.5, 0.25]), ([], [0.5])]
+    )
+    def test_fill_of_another_length_refused(self, misses, accuracies):
+        ledger = EvaluationLedger()
+        message = rf"{len(accuracies)} result\(s\) for {len(misses)} mask\(s\)"
+        with pytest.raises(EvaluatorError, match=message):
+            ledger.fill(misses, accuracies)
+        assert dict(ledger.cache) == {}
+        assert ledger.best_mask is None
+
     def test_best_tracking_prefers_first_on_tie(self):
         ledger = EvaluationLedger()
         ledger_score(ledger, ("10",), lambda m: 0.5)

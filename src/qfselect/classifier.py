@@ -426,6 +426,7 @@ class ExternalEvaluator:
                 pass  # a full pipe, or a process that is gone
             deadline = time.monotonic() + CLOSE_TIMEOUT_S
             self._drain(deadline)
+            self._await_exit(deadline)
             try:
                 self._proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
             except subprocess.TimeoutExpired:
@@ -450,6 +451,22 @@ class ExternalEvaluator:
                 return
             if not os.read(fd, 65536):
                 return
+
+    def _await_exit(self, deadline: float) -> None:
+        """Wait for the process to exit, or until `deadline`, without reaping it.
+
+        A pidfd turns readable when its process exits, so select() wakes at
+        once, where Popen.wait(timeout) sleeps a millisecond before it looks
+        again.  Where pidfd_open is missing, Popen.wait's polling remains.
+        """
+        try:
+            pidfd = os.pidfd_open(self._proc.pid)
+        except (AttributeError, OSError):
+            return
+        try:
+            select.select([pidfd], [], [], max(deadline - time.monotonic(), 0.0))
+        finally:
+            os.close(pidfd)
 
     def __enter__(self) -> "ExternalEvaluator":
         return self

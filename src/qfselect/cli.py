@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import os
+import signal
 import sys
 import time
 import traceback
@@ -21,7 +23,7 @@ import numpy as np
 
 from .classifier import BATCH_MASKS, KINDS, EvaluatorSpec, make_evaluator
 from .dataset import Dataset, load_csv, stratified_split
-from .errors import OracleLimitError, QfselectError, RecordError
+from .errors import EvaluatorError, OracleLimitError, QfselectError, RecordError
 from .evolution import EvolutionConfig, MutationConfig, evolve
 from .masks import index_to_mask
 from .objective import evaluate_batch, first_best
@@ -309,6 +311,13 @@ def cmd_oracle(args) -> int:
         "evaluator": dataclasses.asdict(args.spec),
         "dataset": _dataset_config(args, data, split_seed=args.seed),
     }
+    starts = range(0, 2**n, BATCH_MASKS)
+    # Chunk i is scored by process i mod `width`, this one being process 0,
+    # one process per CPU this one may run on.  Interleaved chunks keep each
+    # worker at most a pipe buffer ahead of the chunk this process writes.
+    # An external evaluator's one server process cannot be shared.
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
+    width = 1 if args.spec.kind == "external" else min(len(cpus), len(starts))
 
     # The record is written as the chunks are scored, so the sweep holds
     # one chunk at a time; it is opened first, so an unwritable --out
@@ -316,19 +325,98 @@ def cmd_oracle(args) -> int:
     best_mask, best_accuracy = None, float("-inf")
     with OracleRecordWriter(args.out, config) as writer:
         evaluator = make_evaluator(args.spec, split)
+
+        def score(masks: list[str]) -> list[float]:
+            return evaluate_batch(masks, evaluator)
+
+        def masks_at(start: int) -> list[str]:
+            return [index_to_mask(index, n) for index in range(start, min(start + BATCH_MASKS, 2**n))]
+
+        workers: list[tuple[int, int]] = []
         try:
-            for start in range(0, 2**n, BATCH_MASKS):
-                stop = min(start + BATCH_MASKS, 2**n)
-                masks = [index_to_mask(index, n) for index in range(start, stop)]
-                accuracies = evaluate_batch(masks, evaluator)
+            for w in range(1, width):
+                workers.append(_fork_worker(score, (masks_at(start) for start in starts[w::width])))
+            for i, start in enumerate(starts):
+                masks = masks_at(start)
+                w = i % width
+                accuracies = score(masks) if w == 0 else _receive(workers[w - 1][1], masks)
                 writer.add([{"mask": m, "accuracy": a} for m, a in zip(masks, accuracies)])
                 best_mask, best_accuracy = first_best(masks, accuracies, best_mask, best_accuracy)
         finally:
+            _stop(workers)
             evaluator.close()
         writer.finish(best_mask, best_accuracy)
     print(f"wrote {2**n} mask evaluations to {args.out}")
     print(f"best mask {best_mask} accuracy {best_accuracy!r}")
     return 0
+
+
+# The first byte of a worker's reply: its chunk's accuracies follow as
+# float64, or its failure's message follows up to end of file.
+_SCORED, _FAILED = b"+", b"!"
+
+
+def _fork_worker(score, chunks) -> tuple[int, int]:
+    """Fork a process that scores `chunks` in order, replying on a pipe.
+
+    Returns its pid and the pipe's read end.  The worker leaves by os._exit
+    on every path, so no buffer or exit handler the sweep owns runs twice.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as err:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise EvaluatorError(f"cannot start an oracle worker: {err.strerror}") from None
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            for masks in chunks:
+                _write(write_fd, _SCORED + np.array(score(masks), dtype=np.float64).tobytes())
+        except QfselectError as err:
+            _write(write_fd, _FAILED + str(err).encode())
+        except BaseException:
+            _write(write_fd, _FAILED + ("an oracle worker failed:\n" + traceback.format_exc()).encode())
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, size: int) -> bytes:
+    """`size` bytes from `fd`, or fewer if it reaches end of file first."""
+    blocks = []
+    while size > 0 and (block := os.read(fd, min(size, 1 << 16))):
+        blocks.append(block)
+        size -= len(block)
+    return b"".join(blocks)
+
+
+def _receive(fd: int, masks: list[str]) -> list[float]:
+    """A worker's accuracies for `masks`, its next chunk, or its failure raised."""
+    size = 1 + 8 * len(masks)
+    reply = _read(fd, size)
+    if reply[:1] == _FAILED:
+        raise EvaluatorError((reply[1:] + _read(fd, sys.maxsize)).decode(errors="replace"))
+    if len(reply) < size:
+        raise EvaluatorError(f"mask {masks[0]}: the oracle worker scoring it exited without a result")
+    return np.frombuffer(reply, dtype=np.float64, offset=1).tolist()
+
+
+def _stop(workers: list[tuple[int, int]]) -> None:
+    """Kill and reap every worker and close its pipe."""
+    for pid, _ in workers:
+        os.kill(pid, signal.SIGKILL)
+    for pid, fd in workers:
+        os.waitpid(pid, 0)
+        os.close(fd)
 
 
 def cmd_report(args) -> int:

@@ -3,7 +3,7 @@ every name the package exports resolves, every config and record field
 has a type the one annotation rule knows, numpy is the only runtime
 dependency, records.py is the only module that writes a file, the
 evolution loop and the oracle sweep are the only callers of the evaluator,
-and the CLI passes every config setting."""
+only the CLI forks, and the CLI passes every config setting."""
 
 import ast
 import re
@@ -135,6 +135,20 @@ def test_evolve_and_the_oracle_sweep_each_call_the_evaluator_at_one_site():
                 if name == "evaluate_batch":
                     callers.append(path.name)
     assert callers == ["cli.py", "evolution.py"]
+
+
+def test_only_the_cli_forks():
+    # The oracle sweep forks its workers; no library function forks its
+    # caller's process.
+    forks = []
+    for path in sorted((ROOT / "src" / "qfselect").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("fork", "forkpty"):
+                    forks.append(path.name)
+    assert forks == ["cli.py"]
 
 
 def test_every_config_setting_has_a_cli_caller():

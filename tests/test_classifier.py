@@ -704,6 +704,30 @@ class TestExternalEvaluator:
             assert child.stdin.closed and child.stdout.closed
             assert child.returncode is not None
 
+    @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="no pidfd_open here")
+    def test_close_sees_the_exit_without_sleeping(self, monkeypatch):
+        # The stub exits on QUIT.  close() waits for that on a pidfd, so
+        # Popen.wait reaps the process at its first look and never sleeps.
+        proc = ExternalEvaluator(stub_cmd("ones-fraction"), n=3, timeout=5)
+        assert proc("101") == 2 / 3
+        child = proc._proc
+
+        def no_sleep(seconds):
+            raise AssertionError(f"close() slept {seconds} s")
+
+        monkeypatch.setattr(subprocess.time, "sleep", no_sleep)
+        proc.close()
+        assert child.returncode == 0
+
+    def test_close_without_pidfd_open_still_reaps(self, monkeypatch):
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+        proc = ExternalEvaluator(stub_cmd("ones-fraction"), n=3, timeout=5)
+        assert proc("101") == 2 / 3
+        child = proc._proc
+        proc.close()
+        assert child.returncode == 0
+        assert child.stdin.closed and child.stdout.closed
+
     def test_close_kills_a_server_that_closes_its_output_but_keeps_running(
         self, monkeypatch
     ):

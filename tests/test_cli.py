@@ -18,7 +18,7 @@ from qfselect import classifier, cli
 from qfselect.cli import main
 from qfselect.dataset import wine_csv_path
 from qfselect.evolution import EvolutionConfig, evolve
-from qfselect.errors import RecordError
+from qfselect.errors import FitnessError, RecordError
 from qfselect.records import (
     OracleRecord,
     read_oracle_record,
@@ -562,6 +562,138 @@ class TestOracle:
         argv = ["oracle", "--data", str(data), "--label", "label",
                 "--test-fraction", "0.5", "--out", str(tmp_path / "o.json")]
         assert main(argv) == 1
+
+
+def use_cpus(monkeypatch, count):
+    """Make the sweep see `count` CPUs, as `taskset` would."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestOracleWorkers:
+    """The sweep scores chunk i in process i mod W, W being the CPUs it may
+    use, capped at the chunk count; the first process is the CLI's own."""
+
+    @staticmethod
+    def _argv(tmp_path, n, kind="linear-svm"):
+        data = tmp_path / "planted.csv"
+        write_planted_csv(data, n=n, rows=60, informative=(1, 4), seed=n)
+        return ["oracle", "--data", str(data), "--label", "label",
+                "--evaluator", kind, "--out", str(tmp_path / "oracle.json")]
+
+    @pytest.mark.parametrize("kind", ["linear-svm", "nearest-centroid"])
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_every_cpu_writes_the_bytes_one_process_writes(self, tmp_path, monkeypatch, n, kind):
+        # n = 9 is 4 chunks, one a process; n = 10 is 8, two a process.
+        argv = self._argv(tmp_path, n, kind)
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        written = []
+        for cpus in (1, 4):
+            use_cpus(monkeypatch, cpus)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            written.append(Path(argv[-1]).read_bytes())
+        assert len(forks) == 3
+        assert written[0] == written[1]
+        assert_no_child_left()
+
+    def test_a_failing_worker_names_the_mask_one_process_names(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The fit fails on a mask of chunk 1 and on one of chunk 3, each
+        # scored by a worker of its own at four CPUs.  Whichever fails
+        # first, the sweep reports chunk 1's mask, as one process does.
+        argv = self._argv(tmp_path, 9)
+        out = Path(argv[-1])
+        out.write_bytes(b"an earlier record\n")
+        bad = {cli.index_to_mask(200, 9), cli.index_to_mask(400, 9)}
+        real_train = classifier._train_ovr
+
+        def failing_train(features, labels, C, epochs, keep):
+            for row in keep:
+                mask = "".join("1" if kept else "0" for kept in row)
+                if mask in bad:
+                    raise FitnessError("no fit", mask=mask)
+            return real_train(features, labels, C, epochs, keep)
+
+        monkeypatch.setattr(classifier, "_train_ovr", failing_train)
+        errors = []
+        for cpus in (1, 4):
+            use_cpus(monkeypatch, cpus)
+            assert main(argv) == 1
+            errors.append(capsys.readouterr().err)
+            assert out.read_bytes() == b"an earlier record\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle.json", "planted.csv"]
+            assert_no_child_left()
+        assert errors[0] == errors[1] == f"error: mask {cli.index_to_mask(200, 9)}: no fit\n"
+
+    def test_a_worker_that_dies_names_its_chunk(self, tmp_path, monkeypatch, capsys):
+        argv = self._argv(tmp_path, 9)
+        parent = os.getpid()
+        real_train = classifier._train_ovr
+
+        def dying_train(features, labels, C, epochs, keep):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_train(features, labels, C, epochs, keep)
+
+        monkeypatch.setattr(classifier, "_train_ovr", dying_train)
+        use_cpus(monkeypatch, 2)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: mask {cli.index_to_mask(128, 9)}: "
+            "the oracle worker scoring it exited without a result\n"
+        )
+        assert not Path(argv[-1]).exists()
+        assert_no_child_left()
+
+    def test_an_interrupted_sweep_reaps_its_workers(self, tmp_path, monkeypatch):
+        argv = self._argv(tmp_path, 10)
+        out = Path(argv[-1])
+        out.write_bytes(b"an earlier record\n")
+        real_first_best = cli.first_best
+        calls = []
+
+        def interrupted(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real_first_best(*args)
+
+        monkeypatch.setattr(cli, "first_best", interrupted)
+        use_cpus(monkeypatch, 4)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert out.read_bytes() == b"an earlier record\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle.json", "planted.csv"]
+        assert_no_child_left()
+
+    def test_external_and_single_chunk_sweeps_never_fork(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("the sweep forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        use_cpus(monkeypatch, 4)
+        external = self._argv(tmp_path, 8, "external") + ["--external-cmd", f"{STUB_CMD} ones-fraction"]
+        out = tmp_path / "oracle.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(external) == 0  # two chunks, one server process
+            assert len(read_oracle_record(out).entries) == 2**8
+            assert main(self._argv(tmp_path, 7)) == 0  # one chunk
+            assert len(read_oracle_record(out).entries) == 2**7
 
 
 class TestReport:

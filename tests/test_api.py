@@ -1,15 +1,21 @@
 """The documented API: the README's library quick start runs as written,
-every name the package exports resolves, every config and record field
-has a type the one annotation rule knows, numpy is the only runtime
-dependency, records.py is the only module that writes a file, the
-evolution loop and the oracle sweep are the only callers of the evaluator,
-only the CLI forks, and the CLI passes every config setting."""
+every name the package exports resolves, importing the set-up names loads
+no run module, NumPy loads with one BLAS thread unless the caller chose a
+count, every config and record field has a type the one annotation rule
+knows, numpy is the only runtime dependency, records.py is the only module
+that writes a file, the evolution loop and the oracle sweep are the only
+callers of the evaluator, only the CLI forks, and the CLI passes every
+config setting."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 import qfselect
 from qfselect import records
@@ -32,6 +38,95 @@ def test_every_exported_name_resolves():
     missing = [name for name in qfselect.__all__ if not hasattr(qfselect, name)]
     assert missing == []
     assert len(set(qfselect.__all__)) == len(qfselect.__all__)
+    assert set(qfselect.__all__) <= set(dir(qfselect))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qfselect.no_such_name
+
+
+THREAD_COUNTS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Defines blas_threads(): OpenBLAS's own thread count, read through its
+# getter, or -1 where no loaded library has one (another BLAS build).
+BLAS_THREADS = """
+import ctypes
+
+def blas_threads():
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps if "blas" in line.lower()}
+    except OSError:
+        return -1
+    for path in sorted(p for p in paths if p.startswith("/")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                getter.argtypes = []
+                return getter()
+    return -1
+"""
+
+
+def fresh_python(code, **variables):
+    """What `code` prints in a new interpreter whose environment sets none
+    of THREAD_COUNTS beyond `variables`, split on whitespace."""
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_COUNTS}
+    env.update(variables, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", BLAS_THREADS + code],
+        capture_output=True, text=True, check=True, timeout=60, env=env,
+    )
+    return out.stdout.split()
+
+
+def test_the_setup_imports_load_no_run_module():
+    # A set-up (load, split, make_evaluator) pays for only the modules it calls.
+    loaded = fresh_python(
+        "import sys\n"
+        "from qfselect import EvaluatorSpec, load_csv, make_evaluator, stratified_split\n"
+        "for name in ('evolution', 'simulator', 'objective', 'cli'):\n"
+        "    print(f'qfselect.{name}' in sys.modules)\n"
+    )
+    assert loaded == ["False"] * 4
+
+
+def _threads_of_plain_numpy(**variables):
+    (threads,) = fresh_python("import numpy\nprint(blas_threads())\n", **variables)
+    if threads == "-1":
+        pytest.skip("no OpenBLAS thread-count getter in this NumPy's BLAS")
+    return threads
+
+
+def test_numpy_loads_with_one_blas_thread_and_the_environment_is_kept():
+    _threads_of_plain_numpy()
+    assert fresh_python(
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import qfselect, numpy\n"
+        "print(blas_threads(), dict(os.environ) == before)\n"
+    ) == ["1", "True"]
+
+
+@pytest.mark.parametrize("variable", THREAD_COUNTS)
+def test_a_thread_count_the_caller_set_wins(variable):
+    # OpenBLAS caps the count at the CPUs it sees, so the expected count is
+    # what plain NumPy reports under the same setting.
+    expected = _threads_of_plain_numpy(**{variable: "2"})
+    assert fresh_python(
+        "import qfselect, numpy\nprint(blas_threads())\n", **{variable: "2"}
+    ) == [expected]
+
+
+def test_numpy_loaded_first_keeps_its_thread_count():
+    expected = _threads_of_plain_numpy()
+    assert fresh_python(
+        "import numpy\n"
+        "first = blas_threads()\n"
+        "import qfselect\n"
+        "print(first, blas_threads())\n"
+    ) == [expected, expected]
 
 
 def _config_annotation_has_a_rule(annotation, module):

@@ -321,10 +321,15 @@ class TestOracle:
             ), name
 
     # The SVM sweep fits through BLAS gemm, so it also runs under other
-    # OpenBLAS kernels than the one the host picks: its record must not
-    # depend on which kernel a machine has.
-    @pytest.mark.parametrize("coretype", [None, "Haswell", "Nehalem"])
-    def test_svm_oracle_record_is_the_same_under_each_blas_kernel(self, tmp_path, coretype):
+    # OpenBLAS kernels than the one the host picks, and with a BLAS thread
+    # count the user set: its record must not depend on either.
+    @pytest.mark.parametrize("variables", [
+        pytest.param({}, id="None"),
+        pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, id="Haswell"),
+        pytest.param({"OPENBLAS_CORETYPE": "Nehalem"}, id="Nehalem"),
+        pytest.param({"OPENBLAS_NUM_THREADS": "2"}, id="threads2"),
+    ])
+    def test_svm_oracle_record_is_the_same_under_each_blas_kernel(self, tmp_path, variables):
         # The label and the first seven feature columns of wine, as written.
         lines = wine_csv_path().read_text(encoding="utf-8").splitlines()
         data = tmp_path / "wine7.csv"
@@ -333,8 +338,7 @@ class TestOracle:
         out = tmp_path / "oracle.json"
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         env.pop("OPENBLAS_CORETYPE", None)
-        if coretype is not None:
-            env["OPENBLAS_CORETYPE"] = coretype
+        env.update(variables)
         result = subprocess.run(
             [sys.executable, "-m", "qfselect.cli", "oracle", "--data", str(data),
              "--label", "class", "--evaluator", "linear-svm", "--seed", "21", "--out", str(out)],

@@ -24,20 +24,23 @@ def test_every_demo_is_checked():
 
 
 # The wine demo fits linear SVMs through BLAS gemm, so it also runs under
-# other OpenBLAS kernels than the one the host picks: its records must not
-# depend on which kernel a machine has.
+# other OpenBLAS kernels than the one the host picks, and with a BLAS thread
+# count the user set: its records must not depend on either.
 @pytest.mark.parametrize(
-    "name, coretype",
-    [pytest.param(name, None, id=name) for name in sorted(STDOUT_SHA256)]
+    "name, variables",
+    [pytest.param(name, {}, id=name) for name in sorted(STDOUT_SHA256)]
     + [
-        pytest.param("03_wine_experiment.py", coretype, id=f"03_wine_experiment.py-{coretype}")
+        pytest.param("03_wine_experiment.py", {"OPENBLAS_CORETYPE": coretype},
+                     id=f"03_wine_experiment.py-{coretype}")
         for coretype in ("Haswell", "Nehalem")
+    ]
+    + [
+        pytest.param("03_wine_experiment.py", {"OPENBLAS_NUM_THREADS": "2"},
+                     id="03_wine_experiment.py-threads2"),
     ],
 )
-def test_demo_output_unchanged(name, coretype):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    if coretype is not None:
-        env["OPENBLAS_CORETYPE"] = coretype
+def test_demo_output_unchanged(name, variables):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **variables)
     result = subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)],
         cwd=ROOT,

@@ -49,6 +49,8 @@ class EvaluatorSpec:
             raise ValueError(f"evaluator kind must be one of {KINDS}, got {self.kind!r}")
         if self.kind == "external":
             _argv(self.external_cmd or "")
+        elif self.external_cmd is not None:
+            raise ValueError(f"external_cmd is only for the external evaluator, not {self.kind!r}")
 
 
 # Masks trained together in one batched SVM fit; bounds its hinge buffer at

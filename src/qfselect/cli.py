@@ -340,7 +340,7 @@ def cmd_oracle(args) -> int:
                 masks = masks_at(start)
                 w = i % width
                 accuracies = score(masks) if w == 0 else _receive(workers[w - 1][1], masks)
-                writer.add([{"mask": m, "accuracy": a} for m, a in zip(masks, accuracies)])
+                writer.add(masks, accuracies)
                 best_mask, best_accuracy = first_best(masks, accuracies, best_mask, best_accuracy)
         finally:
             _stop(workers)

@@ -6,25 +6,19 @@ identical file, so floats are always rendered with 17 significant digits
 record builders, never by the serializer: a dataclass is written as its
 fields in declaration order, a dict in insertion order.
 
-The writer dispatches on a value's exact type first: a `str`, `float` or
-`int` is written by that type's rule with no `isinstance` test, and a
-dict, list or tuple, exact or subclass, as a container.  Everything else
-takes one `isinstance` tail, in a fixed order: a bool before an int, numpy
-scalars through `int()`/`float()`, a leaf subclass by the rule of its base
-type, a dataclass as its fields.  The split is there for exact output, not
-only for speed: an exact leaf type can match no other rule, and every
-other value keeps the one rule the tail always gave it, so a bool is never
-written as an int and an `np.float64` takes the 17-digit float rule.
+Every value takes one `isinstance` chain, containers before leaves: a
+bool before an int, numpy scalars through `int()`/`float()`, a leaf
+subclass by the rule of its base type, a dataclass as its fields.
 Strings and keys are escaped by the C escaper that `json.dumps(s,
 ensure_ascii=False)` calls, so their bytes are the standard library's.
-A dict writes its exact leaf values by the same rules in its own loop, and
-takes the escaped text of an exact `str` key from a bounded memo.
+The streamed oracle writer holds no layout of its own: it cuts the text
+`dumps_canonical` gives a record of placeholder values, and fills the
+values in between the pieces.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import math
 import numbers
@@ -107,55 +101,25 @@ def _format_float(value: float) -> str:
     return text
 
 
-@functools.cache
 def _line_breaks(indent: int) -> tuple[str, str, str]:
     """A container's breaks at `indent`: before its first item, between
-    items, and before its closing bracket.
-
-    Cached so that every container at one depth shares the same three
-    strings: a 2^14-entry oracle record then holds no per-entry copies.
-    """
+    items, and before its closing bracket."""
     first = "\n" + "  " * (indent + 1)
     return first, "," + first, "\n" + "  " * indent
-
-
-@functools.lru_cache(maxsize=1024)
-def _key(key: str) -> str:
-    """The escaped `key` and its colon, shared by every dict that has the key.
-
-    Bounded, because a library caller may write dicts with any keys.
-    """
-    return _escape(key) + ": "
 
 
 def _emit(value, out: list[str], indent: int) -> None:
     # Each container item is followed by the separator, and the last
     # separator is then replaced by the closing break.
-    kind = type(value)
-    if kind is str:
-        out.append(_escape(value))
-    elif kind is float:
-        out.append(_format_float(value))
-    elif kind is int:
-        out.append(str(value))
-    elif isinstance(value, dict):
+    if isinstance(value, dict):
         if not value:
             out.append("{}")
             return
         first, separator, last = _line_breaks(indent)
         out += ("{", first)
         for key, val in value.items():
-            out.append(_key(key) if type(key) is str else _escape(str(key)) + ": ")
-            # The exact leaf types are written here, as _emit would write them.
-            kind = type(val)
-            if kind is str:
-                out.append(_escape(val))
-            elif kind is float:
-                out.append(_format_float(val))
-            elif kind is int:
-                out.append(str(val))
-            else:
-                _emit(val, out, indent + 1)
+            out.append(_escape(str(key)) + ": ")
+            _emit(val, out, indent + 1)
             out.append(separator)
         out[-1] = last
         out.append("}")
@@ -170,7 +134,6 @@ def _emit(value, out: list[str], indent: int) -> None:
             out.append(separator)
         out[-1] = last
         out.append("]")
-    # The tail: bool, None, numpy scalars, leaf subclasses and dataclasses.
     elif isinstance(value, bool):
         out.append("true" if value else "false")
     elif isinstance(value, (int, np.integer)):
@@ -353,62 +316,64 @@ def read_run_record(path: str | Path) -> RunRecord:
     return record
 
 
-def _emit_fields(values: dict, out: list[str]) -> None:
-    """`values` as fields of the top-level object, each after the separator
-    that ends the field before it."""
-    for name, value in values.items():
-        out += (_line_breaks(0)[1], _key(name))
-        _emit(value, out, 1)
+# The value of every field `OracleRecordWriter` fills in, in the record it
+# cuts its layout from.
+_HOLE = "\x00"
 
 
 class OracleRecordWriter:
     """Writes an oracle record to `path` a batch of entries at a time.
 
-    The file holds the bytes `write_json` gives the whole `OracleRecord`:
-    the head (`format_version`, `config`) is written on opening, each
-    `add` writes the next entries, and `finish` writes `best_mask` and
-    `best_accuracy`.  Every value goes through the one canonical writer,
-    and the record is never held whole.  `finish` commits the file as
-    `write_json` does; a writer closed before that, as a `with` block that
+    The file holds the bytes `write_json` gives the whole `OracleRecord`.
+    Its layout comes from `dumps_canonical`, once: a record of two entries
+    whose masks, accuracies and best fields are all `_HOLE` is cut at
+    those six holes, from the right, so a config that holds the hole
+    stays in the head.  The head (`format_version`, `config`) is written
+    on opening, each `add` writes the next entries, and `finish` writes
+    `best_mask` and `best_accuracy`; the record is never held whole.
+    `finish` commits the file as `write_json` does, and refuses a record
+    with no entry; a writer closed before that, as a `with` block that
     raises closes it, leaves `path` as it was.  A failure to write raises
     RecordError, "cannot write {path}...".
     """
 
     def __init__(self, path: str | Path, config: dict) -> None:
         self._path = path
-        self._opened = False  # whether the entries array has its "["
+        self._entries = 0
+        hole = {"mask": _HOLE, "accuracy": _HOLE}
+        record = OracleRecord(config=config, entries=[hole, hole], best_mask=_HOLE,
+                              best_accuracy=_HOLE)
         with _writing(path):
+            head, self._within, self._between, _, *self._end = dumps_canonical(record).rsplit(
+                _escape(_HOLE), 6
+            )
             self._file = _RecordFile(path)
             try:
-                out: list[str] = []
-                _emit_fields({"format_version": FORMAT_VERSION, "config": config}, out)
-                out[0] = "{" + _line_breaks(0)[0]
-                out += (_line_breaks(0)[1], _key("entries"))
-                self._file.write("".join(out))
+                self._file.write(head)
             except BaseException:
                 self.close()
                 raise
 
-    def add(self, entries) -> None:
-        """Write `entries` as the next items of the `entries` array."""
-        first, separator, _ = _line_breaks(1)
+    def add(self, masks: list[str], accuracies: list[float]) -> None:
+        """Write each mask and its accuracy as the next entry of the record."""
+        within = self._within
         with _writing(self._path):
-            out: list[str] = []
-            for entry in entries:
-                out.append(separator)
-                _emit(entry, out, 2)
-            if out and not self._opened:
-                out[0] = "[" + first
-                self._opened = True
-            self._file.write("".join(out))
+            text = self._between.join([
+                _escape(mask) + within + _format_float(accuracy)
+                for mask, accuracy in zip(masks, accuracies, strict=True)
+            ])
+            if text:
+                self._file.write(self._between + text if self._entries else text)
+                self._entries += len(masks)
 
     def finish(self, best_mask: str, best_accuracy: float) -> None:
         """Write the last two fields, then commit the file to `path`."""
+        closing, middle, tail = self._end
         with _writing(self._path):
-            out = [_line_breaks(1)[2], "]"] if self._opened else ["[]"]
-            _emit_fields({"best_mask": best_mask, "best_accuracy": best_accuracy}, out)
-            out += (_line_breaks(0)[2], "}\n")
-            self._file.write("".join(out))
+            if not self._entries:
+                raise RecordError(f"cannot write {self._path}: an oracle record needs an entry")
+            self._file.write(closing + _escape(best_mask) + middle + _format_float(best_accuracy)
+                             + tail)
             self._file.commit()
 
     def close(self) -> None:

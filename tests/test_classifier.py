@@ -98,6 +98,12 @@ class TestEvaluatorSpec:
             with pytest.raises(ValueError, match="command line"):
                 EvaluatorSpec(kind="external", external_cmd=command)
 
+    @pytest.mark.parametrize("kind", ["linear-svm", "nearest-centroid"])
+    @pytest.mark.parametrize("command", ["python3 server.py", ""])
+    def test_refuses_a_command_for_a_local_kind(self, kind, command):
+        with pytest.raises(ValueError, match="external_cmd is only for the external evaluator"):
+            EvaluatorSpec(kind=kind, external_cmd=command)
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

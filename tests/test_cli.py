@@ -276,6 +276,23 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize("evaluator", [None, "nearest-centroid"])
+    def test_external_command_for_a_local_evaluator_is_usage_error(
+        self, toy_csv, tmp_path, capsys, command, evaluator
+    ):
+        # Recorded, the command would make the configs of identical runs differ.
+        argv = [command, "--data", str(toy_csv), "--label", "label",
+                "--out", str(tmp_path / "out"), "--external-cmd", "foo"]
+        if evaluator is not None:
+            argv += ["--evaluator", evaluator]
+        assert main(argv) == 2
+        kind = evaluator or "linear-svm"
+        assert capsys.readouterr().err == (
+            f"usage error: external_cmd is only for the external evaluator, not {kind!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag_is_usage_error(self, toy_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(run_args(toy_csv, tmp_path / "runs") + ["--turbo"])

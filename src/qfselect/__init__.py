@@ -38,7 +38,7 @@ _MODULE_NAMES = {
     "masks": ("index_to_mask", "mask_to_index", "validate_mask"),
     "dataset": ("Dataset", "SplitDataset", "load_csv", "stratified_split", "wine_csv_path"),
     "classifier": ("EvaluatorSpec", "ExternalEvaluator", "make_evaluator"),
-    "objective": ("EvaluationLedger", "empirical_auc", "fitness", "predicted_total_evaluations"),
+    "objective": ("empirical_auc", "fitness", "predicted_total_evaluations"),
     "evolution": ("EvolutionConfig", "Individual", "MutationConfig", "evolve", "mutate", "select"),
     "records": (
         "DistributionRow", "GenerationEntry", "OracleRecord", "RunRecord", "RunTotals",

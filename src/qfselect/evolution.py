@@ -2,9 +2,9 @@
 
 Each generation clones the parents, applies exactly one mutation per
 clone, samples every clone's output distribution, scores the masks the
-shared evaluation ledger lacks as one batch, and keeps the best mu
-individuals.  Fitness is frozen at evaluation time and never resampled,
-which makes the best fitness literally monotone.
+run's memo lacks as one batch, and keeps the best mu individuals.
+Fitness is frozen at evaluation time and never resampled, which makes
+the best fitness literally monotone.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .objective import (
-    EvaluationLedger, Evaluator, empirical_auc, evaluate_batch, fitness,
-    predicted_total_evaluations,
+    Evaluator, empirical_auc, evaluate_batch, first_best, fitness, predicted_total_evaluations,
 )
 from .records import DistributionRow, GenerationEntry, RunRecord, RunTotals, check_types
 from .simulator import (
@@ -165,11 +164,13 @@ def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
     generation), used first for the mutation draws and then for the
     measurement shots, so results do not depend on evaluation order.  Every
     generation samples all its circuits before any is scored, scores the
-    masks the ledger lacks with one `evaluate_batch` call, made only when
-    some are lacking, fills the ledger with them, reads each child's
-    fitness from the ledger's cache, and is logged from what it sampled.
+    masks `cache` lacks with one `evaluate_batch` call, made only when some
+    are lacking, adds them to `cache` and keeps the first best of them,
+    reads each child's fitness from `cache`, and is logged from what it
+    sampled.
     """
-    ledger = EvaluationLedger()
+    cache: dict[str, float] = {}
+    best_mask, best_accuracy = None, float("-inf")
     entries: list[GenerationEntry] = []
     parents: list[Individual] = []
 
@@ -194,13 +195,12 @@ def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
                 sampled.append((circuit, sample(simulate(circuit), config.shots, rng)))
         # One evaluator call for the whole generation's cache misses, in the
         # order a child-by-child pass would have met them.
-        misses = ledger.misses(mask for _, dist in sampled for mask in dist.counts)
-        if misses:
-            ledger.fill(misses, evaluate_batch(misses, evaluator))
-        children = [
-            Individual(circuit, fitness(dist, ledger.cache), dist)
-            for circuit, dist in sampled
-        ]
+        sampled_masks = dict.fromkeys(mask for _, dist in sampled for mask in dist.counts)
+        misses = [mask for mask in sampled_masks if mask not in cache]
+        accuracies = evaluate_batch(misses, evaluator) if misses else []
+        cache.update(zip(misses, accuracies))
+        best_mask, best_accuracy = first_best(misses, accuracies, best_mask, best_accuracy)
+        children = [Individual(circuit, fitness(dist, cache), dist) for circuit, dist in sampled]
         parents = select(parents, children, config.mu)
         entries.append(
             GenerationEntry(
@@ -209,14 +209,14 @@ def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
                 parent_fitness=[p.fitness for p in parents],
                 support=sum(len(dist.counts) for _, dist in sampled),
                 new_evaluations=len(misses),
-                best_mask=ledger.best_mask,
-                best_accuracy=ledger.best_accuracy,
+                best_mask=best_mask,
+                best_accuracy=best_accuracy,
                 parent_depth=depth(parents[0].circuit),
             )
         )
 
     final = [
-        DistributionRow(mask, prob, ledger.cache[mask])
+        DistributionRow(mask, prob, cache[mask])
         for mask, prob in sorted(
             quasi_probabilities(parents[0].distribution).items(),
             key=lambda item: (-item[1], item[0]),
@@ -227,7 +227,7 @@ def evolve(config: EvolutionConfig, evaluator: Evaluator) -> RunRecord:
         generations=entries,
         final_distribution=final,
         totals=RunTotals(
-            cache_size=ledger.size,
+            cache_size=len(cache),
             empirical_auc=empirical_auc([e.support for e in entries]),
             predicted_evaluations=predicted_total_evaluations(config.shots, config.generations),
         ),

@@ -1,20 +1,16 @@
 """Sampled objective F = sum_x p(x) f(x) and the evaluation-count model.
 
-The ledger is the one mutable object a run shares: a mask -> accuracy memo,
-so the classifier trains at most once per mask, that also tracks the best
-mask seen.  It calls no evaluator.  Its client, the evolution loop, scores
-a generation's misses, like each chunk of the oracle sweep, with
-`evaluate_batch` as one batch (one ``evaluate_many`` call, or one call per
-mask for a plain mask -> accuracy callable, then one check of the values)
-and fills the ledger afterwards; ``fitness`` only reads the memo.  The
-per-generation counts (support sizes and cache misses) are the evolution
-loop's to log; ``empirical_auc`` integrates the support curve it hands over.
+The module holds functions only.  A run's memo is the evolution loop's
+plain mask -> accuracy dict: the loop scores a generation's uncached
+masks, like each chunk of the oracle sweep, with `evaluate_batch` as one
+batch, adds them to the dict, and keeps the best mask by `first_best`;
+``fitness`` only reads the dict.  ``empirical_auc`` integrates the
+support curve the loop logs.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -22,38 +18,6 @@ from .errors import EvaluatorError, FitnessError, InsufficientDataError
 from .simulator import SampledDistribution, quasi_probabilities
 
 Evaluator = Callable[[str], float]
-
-
-class EvaluationLedger:
-    """Mask-accuracy cache that also tracks the best mask.
-
-    The ledger calls no evaluator: its client scores `misses(masks)` and
-    hands the values to `fill`.  A mask enters the cache once and is never
-    evaluated again, so ``size`` counts the evaluations made so far.
-    """
-
-    def __init__(self) -> None:
-        self._cache: dict[str, float] = {}
-        self.cache = MappingProxyType(self._cache)
-        self.best_mask: str | None = None
-        self.best_accuracy: float = float("-inf")
-
-    @property
-    def size(self) -> int:
-        return len(self._cache)
-
-    def misses(self, masks: Iterable[str]) -> list[str]:
-        """The uncached masks of `masks`, each once, in first-seen order."""
-        return [mask for mask in dict.fromkeys(masks) if mask not in self._cache]
-
-    def fill(self, misses: list[str], accuracies: list[float]) -> None:
-        """Cache `accuracies` for `misses`, in order; the first best wins a tie."""
-        if len(accuracies) != len(misses):
-            raise EvaluatorError(f"fill got {len(accuracies)} result(s) for {len(misses)} mask(s)")
-        self._cache.update(zip(misses, accuracies))
-        self.best_mask, self.best_accuracy = first_best(
-            misses, accuracies, self.best_mask, self.best_accuracy
-        )
 
 
 def first_best(masks: list[str], accuracies: list[float], mask: str | None, accuracy: float):

@@ -211,7 +211,10 @@ def write_json(value, path: str | Path) -> None:
         file.commit()
 
 
-def _load_json(path: str | Path):
+@contextlib.contextmanager
+def _reading(path: str | Path):
+    """Yield the JSON value in the file at `path`; a RecordError raised while
+    it is decoded is raised again naming `path`, as the loading errors do."""
     path = Path(path)
     if not path.exists():
         raise RecordError(f"no such record file: {path}")
@@ -224,11 +227,15 @@ def _load_json(path: str | Path):
     # ValueError covers a JSONDecodeError and an integer past Python's
     # digit limit; RecursionError, arrays or objects nested too deeply.
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except ValueError as err:
         raise RecordError(f"corrupt record {path}: {err}") from None
     except RecursionError:
         raise RecordError(f"corrupt record {path}: nested too deeply") from None
+    try:
+        yield value
+    except RecordError as err:
+        raise RecordError(f"{path}: {err}") from None
 
 
 # The one table of field types for configs and records: each type name of
@@ -310,9 +317,10 @@ def write_run_record(record: RunRecord, path: str | Path) -> None:
 
 
 def read_run_record(path: str | Path) -> RunRecord:
-    record = _from_dict(RunRecord, _load_json(path))
-    if not record.generations:
-        raise RecordError("generations must be a non-empty JSON array")
+    with _reading(path) as raw:
+        record = _from_dict(RunRecord, raw)
+        if not record.generations:
+            raise RecordError("generations must be a non-empty JSON array")
     return record
 
 
@@ -391,4 +399,9 @@ def write_oracle_record(record: OracleRecord, path: str | Path) -> None:
 
 
 def read_oracle_record(path: str | Path) -> OracleRecord:
-    return _from_dict(OracleRecord, _load_json(path))
+    with _reading(path) as raw:
+        record = _from_dict(OracleRecord, raw)
+        for i, entry in enumerate(record.entries):
+            for name, annotation in (("mask", "str"), ("accuracy", "float")):
+                _decode(annotation, entry.get(name), f"OracleRecord.entries[{i}].{name}")
+    return record

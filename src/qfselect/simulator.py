@@ -320,8 +320,8 @@ def sample(state: SupportState, shots: int, rng: np.random.Generator) -> Sampled
     if not (math.isfinite(total) and total > 0):
         raise ValueError(f"state norm must be finite and nonzero, got {total}")
     outcomes = Counter(cdf.searchsorted(rng.random(shots) * total, side="right").tolist())
-    # Ascending positions, so ascending indices: the ledger's first-seen
-    # order, and so the records, depend on this order.
+    # Ascending positions, so ascending indices: the first-seen order in
+    # which a run scores its masks, and so the records, depend on this order.
     counts = {}
     for position in sorted(outcomes):
         index, bits = 0, position

@@ -1,7 +1,7 @@
 """Shared test helpers: per-bit references for the mask codec and support
 positions, random circuits over the full gate basis, the dense gate oracle,
-the reference SVM kernel, the reference record writer, planted-feature
-data, and ledger scoring composed as the evolution loop composes it."""
+the reference SVM kernel, the reference record writer, and planted-feature
+data."""
 
 import json
 import math
@@ -10,7 +10,6 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 
 from qfselect.errors import OracleLimitError, RecordError
-from qfselect.objective import evaluate_batch
 from qfselect.simulator import Circuit, Gate, GateKind, SINGLE_QUBIT_KINDS
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -192,11 +191,3 @@ def write_planted_csv(path, n, rows, informative, seed):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return tuple(informative)
 
-
-def ledger_score(ledger, masks, evaluator):
-    """Accuracies of `masks`, the ledger's misses scored and filled as `evolve` does."""
-    masks = list(masks)
-    misses = ledger.misses(masks)
-    if misses:
-        ledger.fill(misses, evaluate_batch(misses, evaluator))
-    return [ledger.cache[mask] for mask in masks]

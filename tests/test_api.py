@@ -219,17 +219,21 @@ def test_records_is_the_one_way_to_disk():
 
 
 def test_evolve_and_the_oracle_sweep_each_call_the_evaluator_at_one_site():
-    # The ledger is only a memo: each batch is scored by evaluate_batch,
-    # called once in evolution.py and once in cli.py, and nowhere else.
-    callers = []
+    # A run's memo is evolve's own dict: each batch is scored by
+    # evaluate_batch and its best kept by first_best, each called once in
+    # evolution.py and once in cli.py, and nowhere else.
+    callers = {"evaluate_batch": [], "first_best": []}
     for path in sorted((ROOT / "src" / "qfselect").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "evaluate_batch":
-                    callers.append(path.name)
-    assert callers == ["cli.py", "evolution.py"]
+                if name in callers:
+                    callers[name].append(path.name)
+    assert callers == {
+        "evaluate_batch": ["cli.py", "evolution.py"],
+        "first_best": ["cli.py", "evolution.py"],
+    }
 
 
 def test_only_the_cli_forks():

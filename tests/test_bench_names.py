@@ -1,5 +1,6 @@
-"""The benchmark under bench/ looks up and patches these module attributes
-by name; renaming or removing one breaks it without failing any other test.
+"""The benchmark under bench/ imports, looks up and patches these module
+attributes by name; renaming or removing one breaks it without failing any
+other test.
 The same holds for the commands recorded in the per-layer evidence files."""
 
 import importlib
@@ -14,6 +15,17 @@ from qfselect.evolution import EvolutionConfig, evolve
 from qfselect.simulator import Circuit, Gate, GateKind
 
 BENCH_NAMES = {
+    # What bench/workloads.py imports from the package itself.
+    "qfselect": (
+        "EvaluatorSpec",
+        "EvolutionConfig",
+        "evolve",
+        "load_csv",
+        "make_evaluator",
+        "stratified_split",
+        "wine_csv_path",
+        "write_run_record",
+    ),
     "qfselect.evolution": ("simulate", "sample", "mutate", "select", "fitness"),
     "qfselect.simulator": ("index_to_mask",),
     "qfselect.cli": (

@@ -26,9 +26,9 @@ from qfselect.classifier import (
 )
 from qfselect.dataset import SplitDataset, load_csv, stratified_split, wine_csv_path
 from qfselect.errors import DegenerateTrainingError, EvaluatorError, FitnessError, MaskError
-from qfselect.objective import EvaluationLedger
+from qfselect.objective import evaluate_batch
 
-from helpers import NOT_BITSTRINGS, ledger_score, planted_rows, reference_train_ovr
+from helpers import NOT_BITSTRINGS, planted_rows, reference_train_ovr
 
 STUB = str(Path(__file__).parent / "evaluator_stub.py")
 EXT_SERVER = str(Path(__file__).parent.parent / "bench" / "ext_server.py")
@@ -891,11 +891,9 @@ class TestPipelinedEvaluation:
 
     def test_error_reply_in_a_window_names_its_mask(self):
         ev = ExternalEvaluator(replay_argv(b"OK 0.5", b"OK 0.25", b"ERR bad col"), n=3, timeout=5)
-        ledger = EvaluationLedger()
         with ev, pytest.raises(FitnessError, match="evaluator error: bad col") as exc:
-            ledger_score(ledger, ["100", "010", "001"], ev)
+            evaluate_batch(["100", "010", "001"], ev)
         assert exc.value.mask == "001"
-        assert ledger.size == 0  # a failed batch caches none of its masks
 
     def test_error_reply_leaves_the_stream_in_step(self):
         argv = replay_argv(b"OK 0.5", b"ERR bad col", b"OK 0.25", b"OK 0.75")
@@ -908,7 +906,7 @@ class TestPipelinedEvaluation:
     def test_early_exit_in_a_window_names_its_mask(self, capfd):
         ev = ExternalEvaluator(replay_argv(b"OK 0.5"), n=3, timeout=5)
         with ev, pytest.raises(FitnessError, match="exited early") as exc:
-            ledger_score(EvaluationLedger(), ["100", "010", "001"], ev)
+            evaluate_batch(["100", "010", "001"], ev)
         assert exc.value.mask == "010"
         capfd.readouterr()  # the stub's traceback for its missing reply
 
@@ -923,7 +921,7 @@ class TestPipelinedEvaluation:
     def test_timeout_in_a_window_names_the_first_mask(self):
         ev = ExternalEvaluator(stub_cmd("slow"), n=3, timeout=0.3)
         with ev, pytest.raises(FitnessError, match="no reply within") as exc:
-            ledger_score(EvaluationLedger(), ["100", "010", "001"], ev)
+            evaluate_batch(["100", "010", "001"], ev)
         assert exc.value.mask == "100"
 
 

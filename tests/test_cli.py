@@ -748,6 +748,12 @@ class TestReport:
         predicted_line = next(l for l in lines if l.startswith("predicted"))
         assert predicted_line.endswith("= 32.0")  # m=16, K=4
 
+    def test_a_file_that_is_no_run_record_is_named(self, run_dir, capsys):
+        aggregate = run_dir / "aggregate.json"
+        assert main(["report", str(run_dir / "record-000.json"), str(aggregate)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {aggregate}: RunRecord missing field(s) config, ")
+
     def test_mixed_datasets_refused(self, toy_csv, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(run_args(toy_csv, out_a, repeat="1")) == 0

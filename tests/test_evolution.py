@@ -252,8 +252,8 @@ class TestEvolve:
         assert a == b
 
     def test_batched_and_per_mask_scoring_write_identical_records(self):
-        # A plain callable has no evaluate_many, so the ledger scores it one
-        # mask at a time.
+        # A plain callable has no evaluate_many, so evaluate_batch calls it
+        # one mask at a time.
         split = stratified_split(load_csv(wine_csv_path(), "class"), 0.2, seed=21)
         ev = make_evaluator(EvaluatorSpec(), split)
         config = EvolutionConfig(n=13, generations=6, shots=64, seed=21)
@@ -351,8 +351,50 @@ class TestEvolve:
             misses.append([mask for mask in first_seen if mask not in seen])
             seen.update(first_seen)
         assert any(not m for m in misses)  # some generation has nothing to score
+        assert any(len(m) > 1 for m in misses)
         assert ev.batches == [m for m in misses if m]
         assert [e.new_evaluations for e in record.generations] == [len(m) for m in misses]
+
+        # A plain callable is called once per miss, in the same order.
+        calls = []
+
+        def plain(mask):
+            calls.append(mask)
+            return ones_fraction(mask)
+
+        sampled.clear()
+        assert evolve(config, plain) == record
+        assert calls == [mask for m in misses for mask in m]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_best_mask_is_the_first_maximum_scored_so_far(self, seed):
+        # A table of few distinct values, so that equal maxima are common.
+        rng = np.random.default_rng(seed)
+        table = {
+            format(i, "04b"): float(rng.choice([0.25, 0.5, 0.75, 1.0], p=[0.4, 0.3, 0.2, 0.1]))
+            for i in range(16)
+        }
+
+        class Recording:
+            def __init__(self):
+                self.batches = []
+
+            def evaluate_many(self, masks):
+                self.batches.append(list(masks))
+                return [table[m] for m in masks]
+
+        ev = Recording()
+        record = evolve(EvolutionConfig(n=4, lambda_=4, generations=8, shots=8, seed=seed), ev)
+        batches = iter(ev.batches)
+        scored = []
+        for entry in record.generations:
+            if entry.new_evaluations:
+                scored += next(batches)
+            accuracies = [table[m] for m in scored]
+            first = scored[accuracies.index(max(accuracies))]
+            assert (entry.best_mask, entry.best_accuracy) == (first, table[first])
+        assert next(batches, None) is None
+        assert len(scored) == len(set(scored)) == record.totals.cache_size
 
     def test_totals(self):
         config = EvolutionConfig(n=4, generations=6, shots=32, seed=2)

@@ -1,19 +1,17 @@
-"""Objective, ledger, and evaluation-count tests."""
+"""Objective, batch scoring, best-mask, and evaluation-count tests."""
 
 import numpy as np
 import pytest
 
 from qfselect.errors import EvaluatorError, FitnessError, InsufficientDataError
 from qfselect.objective import (
-    EvaluationLedger,
     empirical_auc,
     evaluate_batch,
+    first_best,
     fitness,
     predicted_total_evaluations,
 )
 from qfselect.simulator import SampledDistribution
-
-from helpers import ledger_score
 
 
 def dist(counts):
@@ -61,43 +59,26 @@ class TestFitness:
 
 
 class TestLedger:
-    def test_cache_is_a_read_only_live_view(self):
-        ledger = EvaluationLedger()
-        view = ledger.cache
-        ledger.fill(["10", "01"], [0.5, 0.25])
-        assert dict(view) == {"10": 0.5, "01": 0.25}
-        with pytest.raises(TypeError):
-            view["11"] = 1.0
-        assert ledger.misses(["01", "11", "00", "11"]) == ["11", "00"]
+    """The two rules a run's memo is kept by: `evaluate_batch` scores a batch
+    all or nothing, and `first_best` keeps the first best mask."""
 
-    def test_empty_fill_changes_nothing(self):
-        ledger = EvaluationLedger()
-        ledger.fill(["10"], [0.5])
-        ledger.fill([], [])
-        assert dict(ledger.cache) == {"10": 0.5}
-        assert (ledger.best_mask, ledger.best_accuracy) == ("10", 0.5)
-
-    @pytest.mark.parametrize(
-        "misses, accuracies", [(["10", "01"], [0.5]), (["10"], [0.5, 0.25]), ([], [0.5])]
-    )
-    def test_fill_of_another_length_refused(self, misses, accuracies):
-        ledger = EvaluationLedger()
-        message = rf"{len(accuracies)} result\(s\) for {len(misses)} mask\(s\)"
-        with pytest.raises(EvaluatorError, match=message):
-            ledger.fill(misses, accuracies)
-        assert dict(ledger.cache) == {}
-        assert ledger.best_mask is None
+    def test_an_empty_batch_keeps_the_best(self):
+        assert first_best([], [], "10", 0.5) == ("10", 0.5)
+        assert first_best([], [], None, float("-inf")) == (None, float("-inf"))
 
     def test_best_tracking_prefers_first_on_tie(self):
-        ledger = EvaluationLedger()
-        ledger_score(ledger, ("10",), lambda m: 0.5)
-        ledger_score(ledger, ("01",), lambda m: 0.9)
-        ledger_score(ledger, ("11",), lambda m: 0.9)
-        assert ledger.best_mask == "01"
-        assert ledger.best_accuracy == 0.9
+        best = None, float("-inf")
+        for masks, accuracies in [(["10"], [0.5]), (["01"], [0.9]), (["11"], [0.9])]:
+            best = first_best(masks, accuracies, *best)
+        assert best == ("01", 0.9)
+
+    def test_a_tie_within_a_batch_goes_to_the_first_seen_mask(self):
+        best = first_best(["100", "011", "110"], [0.25, 0.9, 0.9], "000", 0.5)
+        assert best == ("011", 0.9)
+        assert first_best(["111"], [0.9], *best) == ("011", 0.9)
+        assert first_best(["111", "101"], [0.25, 0.5], "000", 0.5) == ("000", 0.5)
 
     def test_failed_evaluation_not_cached(self):
-        ledger = EvaluationLedger()
         attempts = []
 
         def flaky(mask):
@@ -107,19 +88,14 @@ class TestLedger:
             return 0.5
 
         with pytest.raises(FitnessError):
-            ledger_score(ledger, ("10",), flaky)
-        assert ledger_score(ledger, ("10",), flaky)[0] == 0.5
+            evaluate_batch(["10"], flaky)
+        assert evaluate_batch(["10"], flaky) == [0.5]
         assert len(attempts) == 2
 
     def test_batch_scoring_evaluates_each_miss_once_in_first_seen_order(self):
-        ledger = EvaluationLedger()
-        ledger_score(ledger, ("00",), lambda m: 0.1)
-        ev = CountingEvaluator({"11": 0.5, "10": 0.75, "01": 0.75})
-        got = ledger_score(ledger, ["11", "00", "10", "11", "01", "10"], ev)
-        assert got == [0.5, 0.1, 0.75, 0.5, 0.75, 0.75]
+        ev = CountingEvaluator({"11": 0.5, "10": 0.75, "01": 0.25})
+        assert evaluate_batch(["11", "10", "01"], ev) == [0.5, 0.75, 0.25]
         assert ev.calls == ["11", "10", "01"]
-        assert list(ledger.cache) == ["00", "11", "10", "01"]
-        assert ledger.best_mask == "10"
 
         calls = []
 
@@ -129,31 +105,24 @@ class TestLedger:
                 raise RuntimeError("bad column")
             return 0.25
 
-        # A failed batch caches nothing, and no mask after the failing one
-        # is called.
-        ledger = EvaluationLedger()
+        # No mask after the failing one is called.
         with pytest.raises(FitnessError) as exc:
-            ledger_score(ledger, ["10", "01", "11"], fails_on_01)
+            evaluate_batch(["10", "01", "11"], fails_on_01)
         assert exc.value.mask == "01"
         assert calls == ["10", "01"]
-        assert ledger.cache == {}
-        assert (ledger.best_mask, ledger.best_accuracy) == (None, float("-inf"))
 
     def test_batch_evaluator_gets_all_misses_in_one_call(self):
         class Batched(CountingEvaluator):
+            def __call__(self, mask):
+                raise AssertionError("a batch evaluator is called through evaluate_many")
+
             def evaluate_many(self, masks):
                 self.calls.append(list(masks))
                 return [self.table[m] for m in masks]
 
-        ledger = EvaluationLedger()
-        ledger_score(ledger, ("00",), lambda m: 0.1)
         ev = Batched({"11": 0.5, "10": 0.75, "01": 0.75})
-        got = ledger_score(ledger, ["11", "00", "10", "11", "01"], ev)
-        assert got == [0.5, 0.1, 0.75, 0.5, 0.75]
+        assert evaluate_batch(["11", "10", "01"], ev) == [0.5, 0.75, 0.75]
         assert ev.calls == [["11", "10", "01"]]
-        assert ledger.best_mask == "10"
-        assert ledger_score(ledger, ["01", "11"], ev) == [0.75, 0.5]
-        assert len(ev.calls) == 1
 
     def test_failed_batch_names_the_failing_mask(self):
         class Batched(CountingEvaluator):
@@ -162,19 +131,16 @@ class TestLedger:
 
         # A batch that fails with anything but a FitnessError is one failed
         # call: it is not scored again one mask at a time to name a mask.
-        ledger = EvaluationLedger()
         ev = Batched({"10": 0.5})
         with pytest.raises(EvaluatorError, match="^evaluate_many failed on a batch of 2 mask") as exc:
-            ledger_score(ledger, ["10", "01"], ev)
+            evaluate_batch(["10", "01"], ev)
         assert not isinstance(exc.value, FitnessError)
         assert isinstance(exc.value.__cause__, KeyError)
-        assert ledger.size == 0
         assert ev.calls == []
 
         with pytest.raises(FitnessError, match="outside") as exc:
-            ledger_score(ledger, ["11", "00"], Batched({"11": 0.5, "00": 1.5}))
+            evaluate_batch(["11", "00"], Batched({"11": 0.5, "00": 1.5}))
         assert exc.value.mask == "00"
-        assert "00" not in ledger.cache
 
     @pytest.mark.parametrize(
         "bad, form",
@@ -182,58 +148,31 @@ class TestLedger:
         + [pytest.param(bad, "plain", id=f"{bad}-plain") for bad in BAD_VALUES],
     )
     def test_a_bad_value_in_a_batch_caches_the_masks_before_it(self, bad, form):
-        # A batch is all or nothing: the masks before the bad value are
-        # not cached either, and the best mask stays as it was.
+        # A batch is all or nothing: a bad value raises, naming its mask,
+        # and no accuracy of the batch, not even one before it, is returned.
         values = {"00": 0.25, "01": 0.75, "10": bad, "11": 0.5}
 
         class Returns(CountingEvaluator):
             def evaluate_many(self, masks):
                 return [0.25, 0.75, bad, 0.5]
 
-        def make():  # the same four values, in mask order, either way
-            return Returns({}) if form == "evaluate_many" else CountingEvaluator(values)
-
-        ledger = EvaluationLedger()
-        ledger_score(ledger, ["000"], lambda m: 0.5)
-        ev = make()
-        with pytest.raises(FitnessError) as exc:
-            ledger_score(ledger, ["00", "01", "10", "11"], ev)
+        # The same four values, in mask order, either way.
+        ev = Returns({}) if form == "evaluate_many" else CountingEvaluator(values)
+        with pytest.raises(FitnessError, match="^mask 10: ") as exc:
+            evaluate_batch(["00", "01", "10", "11"], ev)
         assert exc.value.mask == "10"
-        assert ledger.cache == {"000": 0.5}
-        assert (ledger.best_mask, ledger.best_accuracy) == ("000", 0.5)
         if form == "plain":  # no mask after the bad value is called
             assert ev.calls == ["00", "01", "10"]
-        # The same check without a ledger, as the oracle sweep makes it.
-        ev = make()
-        with pytest.raises(FitnessError, match="^mask 10: "):
-            evaluate_batch(["00", "01", "10", "11"], ev)
-        if form == "plain":
-            assert ev.calls == ["00", "01", "10"]
-
-    def test_a_tie_within_a_batch_goes_to_the_first_seen_mask(self):
-        class Batched(CountingEvaluator):
-            def evaluate_many(self, masks):
-                return [self.table[m] for m in masks]
-
-        ledger = EvaluationLedger()
-        ledger_score(ledger, ["000"], lambda m: 0.5)
-        ev = Batched({"011": 0.9, "100": 0.25, "110": 0.9, "111": 0.9})
-        assert ledger_score(ledger, ["100", "011", "110"], ev) == [0.25, 0.9, 0.9]
-        assert (ledger.best_mask, ledger.best_accuracy) == ("011", 0.9)
-        ledger_score(ledger, ["111"], ev)
-        assert ledger.best_mask == "011"
 
     def test_fitness_error_from_a_batch_is_raised_as_it_is(self):
         class NamesItsMask(CountingEvaluator):
             def evaluate_many(self, masks):
                 raise FitnessError("evaluator failed: bad column", mask="01")
 
-        ledger = EvaluationLedger()
         ev = NamesItsMask({"10": 0.5, "01": 0.25})
         with pytest.raises(FitnessError, match="^mask 01: evaluator failed: bad column$"):
-            ledger_score(ledger, ["10", "01"], ev)
+            evaluate_batch(["10", "01"], ev)
         assert ev.calls == []  # no retry one mask at a time
-        assert ledger.size == 0
 
     @pytest.mark.parametrize("returned", [[0.5], [0.5, 0.25, 0.75]])
     def test_batch_result_of_the_wrong_length_is_refused(self, returned):
@@ -241,10 +180,8 @@ class TestLedger:
             def evaluate_many(self, masks):
                 return returned
 
-        ledger = EvaluationLedger()
         with pytest.raises(EvaluatorError, match=f"{len(returned)} result.* for 2 mask"):
-            ledger_score(ledger, ["10", "01"], WrongLength({"10": 0.5, "01": 0.25}))
-        assert ledger.size == 0
+            evaluate_batch(["10", "01"], WrongLength({"10": 0.5, "01": 0.25}))
 
 
 class TestEvaluationCounts:

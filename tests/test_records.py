@@ -78,10 +78,17 @@ run_records = st.builds(
     final_distribution=st.lists(distribution_rows, max_size=3),
     totals=run_totals,
 )
+# An oracle entry holds a string mask and a real accuracy, and may hold more.
+oracle_entries = st.builds(
+    lambda extra, mask, accuracy: {**extra, "mask": mask, "accuracy": accuracy},
+    json_object,
+    masks,
+    finite,
+)
 oracle_records = st.builds(
     OracleRecord,
     config=json_object,
-    entries=st.lists(json_object, max_size=4),
+    entries=st.lists(oracle_entries, max_size=4),
     best_mask=masks,
     best_accuracy=finite,
 )
@@ -333,7 +340,7 @@ class TestRunRecordRoundTrip:
         assert b"true" in path.read_bytes()
         with pytest.raises(RecordError) as info:
             read_run_record(path)
-        assert str(info.value) == f"{message}, got True"
+        assert str(info.value) == f"{path}: {message}, got True"
 
 
 class TestOracleRecordRoundTrip:
@@ -352,6 +359,27 @@ class TestOracleRecordRoundTrip:
         path = tmp_path / "oracle.json"
         write_oracle_record(record, path)
         assert read_oracle_record(path) == record
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({}, "entries[1].mask must be a string, got None"),
+            ({"mask": 3, "accuracy": 0.5}, "entries[1].mask must be a string, got 3"),
+            ({"mask": "1", "accuracy": "x"}, "entries[1].accuracy must be a real number, got 'x'"),
+            ({"mask": "1", "accuracy": True}, "entries[1].accuracy must be a real number, got True"),
+            ({"mask": "1"}, "entries[1].accuracy must be a real number, got None"),
+        ],
+    )
+    def test_entries_with_a_missing_or_ill_typed_field_rejected(self, tmp_path, entry, message):
+        record = OracleRecord(
+            config={"n": 1}, entries=[{"mask": "0", "accuracy": 0.5}, entry], best_mask="0",
+            best_accuracy=0.5,
+        )
+        path = tmp_path / "oracle.json"
+        write_oracle_record(record, path)
+        with pytest.raises(RecordError) as info:
+            read_oracle_record(path)
+        assert str(info.value) == f"{path}: OracleRecord.{message}"
 
     def test_entries_that_are_not_objects_rejected(self, tmp_path):
         record = OracleRecord(
@@ -576,6 +604,47 @@ class TestRecordCodec:
                 except RecordError:
                     continue
                 assert isinstance(record, cls)
+
+    @pytest.mark.parametrize("read", [read_run_record, read_oracle_record])
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"format_version": FORMAT_VERSION}, "missing field(s) config, "),
+            ([1, 2], "must be a JSON object, got list"),
+            ({"format_version": 0}, "unsupported record format version 0"),
+        ],
+    )
+    def test_a_record_that_does_not_decode_names_its_file(self, read, raw, message, tmp_path):
+        path = tmp_path / "aggregate.json"
+        records.write_json(raw, path)
+        with pytest.raises(RecordError) as info:
+            read(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value) and str(info.value).count(str(path)) == 1
+
+    def test_a_run_record_without_generations_names_its_file(self, tmp_path):
+        raw = json.loads(dumps_canonical(sample_record()))
+        raw["generations"] = []
+        path = tmp_path / "run.json"
+        records.write_json(raw, path)
+        with pytest.raises(RecordError) as info:
+            read_run_record(path)
+        assert str(info.value) == f"{path}: generations must be a non-empty JSON array"
+
+    @pytest.mark.parametrize("read", [read_run_record, read_oracle_record])
+    @pytest.mark.parametrize(
+        "content, message",
+        [(None, "no such record file: "), ("{", "corrupt record "), (b"\xff", "")],
+        ids=["missing", "corrupt", "not-utf8"],
+    )
+    def test_a_loading_error_names_its_file_once(self, read, content, message, tmp_path):
+        path = tmp_path / "record.json"
+        if content is not None:
+            (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+        with pytest.raises(RecordError) as info:
+            read(path)
+        assert str(info.value).startswith(message + str(path))
+        assert str(info.value).count(str(path)) == 1
 
     @pytest.mark.parametrize("read", [read_run_record, read_oracle_record])
     def test_non_object_rejected(self, read, tmp_path):
